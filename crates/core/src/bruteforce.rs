@@ -36,7 +36,8 @@
 //! [`BruteForceResult::pruned_params`]) depend on scheduling: how many
 //! tuples a worker tallies before observing a bound published by another
 //! worker is timing-dependent. With one thread (or pruning off) they are
-//! deterministic too.
+//! deterministic too. [`BruteForceResult::touched_params`] is the
+//! schedule-free work figure: the tuples the sequential scan touches.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,6 +98,10 @@ pub struct BruteForceResult {
     /// count exceeded the shared bound partway through the examples.
     /// `evaluated_params + pruned_params` is the number of tuples touched.
     pub pruned_params: usize,
+    /// Tuples the sequential scan touches: the lowest perfectly fitting
+    /// index + 1, else `n^ℓ`. A function of the instance alone, unlike
+    /// the two counters above.
+    pub touched_params: usize,
 }
 
 /// Exhaustive ERM over all parameter tuples `w̄ ∈ V(G)^ℓ` (Algorithm 1).
@@ -272,6 +277,9 @@ fn sweep(
         error: error_rate(wrong, examples.len()),
         evaluated_params: evaluated,
         pruned_params: pruned,
+        // The winner is the minimal `(count, index)`, so a perfect fit's
+        // index is the lowest perfect one.
+        touched_params: if wrong == 0 { idx + 1 } else { total },
     }
 }
 
@@ -318,6 +326,7 @@ pub fn brute_force_erm_sequential(
         error: error_rate(wrong, inst.examples.len()),
         evaluated_params: evaluated,
         pruned_params: 0,
+        touched_params: evaluated,
     }
 }
 

@@ -58,10 +58,12 @@ pub struct SolveReport {
     /// Training error achieved.
     pub error: f64,
     /// Solver-specific work measure (parameter tuples touched, branches
-    /// explored, or vertices touched). For `BruteForce` this is
-    /// `evaluated_params + pruned_params`, so the `n^ℓ` curve of
-    /// experiment E3 — and the work accounting cross-checked by the E18
-    /// tracing-overhead experiment — stays interpretable with pruning on.
+    /// explored, or vertices touched), a function of the instance and
+    /// solver config alone. For `BruteForce` this is
+    /// [`BruteForceResult::touched_params`](crate::bruteforce::BruteForceResult::touched_params):
+    /// the tuples the sequential scan touches, whatever the thread count
+    /// or pruning did. Without a perfect fit it equals
+    /// `evaluated_params + pruned_params`.
     pub work: usize,
     /// Parameter tuples whose example tally ran to completion. Only the
     /// brute-force engine fills this; other solvers report zero.
@@ -207,7 +209,7 @@ fn solve_dispatch(
             SolveReport {
                 hypothesis: res.hypothesis,
                 error: res.error,
-                work: res.evaluated_params + res.pruned_params,
+                work: res.touched_params,
                 evaluated_params: res.evaluated_params,
                 pruned_params: res.pruned_params,
                 solver_name: "brute-force (Prop 11)",

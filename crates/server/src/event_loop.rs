@@ -1,4 +1,4 @@
-//! The nonblocking event core: readiness-loop shards that serve many
+//! The nonblocking event core: readiness-driven shards that serve many
 //! pipelined connections per thread.
 //!
 //! The thread-per-connection front door ([`crate::framing::serve_framed`])
@@ -7,9 +7,30 @@
 //! `thread::spawn` used to kill the daemon outright. This module
 //! replaces it for the backend server: the acceptor hands each stream
 //! to one of a fixed set of *shard* threads, and each shard drives its
-//! connections with nonblocking reads and writes from a hand-rolled
-//! readiness loop (std-only polling — no new dependencies, in the same
-//! spirit as the vendored shims).
+//! connections with nonblocking reads and writes.
+//!
+//! # Readiness and wakeups
+//!
+//! Each shard blocks in `epoll_wait` on its own epoll instance (Linux
+//! only; the calls are std-only `extern "C"` declarations, so the core
+//! adds no dependency). Connections are registered edge-triggered
+//! (`EPOLLIN | EPOLLOUT | EPOLLRDHUP`) under a slab token that carries a
+//! generation count, so a token that outlives its connection is
+//! recognised as stale instead of ticking the slot's next tenant. A
+//! shard ticks only the connections epoll reports, those on its *ready
+//! list*, and, one pass per round, those whose last pass made progress
+//! (so a flooding peer cannot starve the rest). Nothing else wakes it:
+//!
+//! * a [`Responder`] completed (or dropped) on another thread pushes its
+//!   connection's token onto the ready list and writes the shard's
+//!   `eventfd` — only when the waker is not already armed, so a
+//!   pipelined burst of completions costs one wakeup;
+//! * the acceptor's hand-off ([`ShardHandle::hand_off`]) and daemon
+//!   shutdown ([`ShardHandle::wake`]) wake the shard the same way;
+//! * the wait's timeout is the earliest idle-timeout deadline on the
+//!   shard or the shutdown-grace deadline, plus a short retry tick while
+//!   some connection holds a job the full pool refused. Otherwise the
+//!   wait is unbounded: an idle shard costs no CPU.
 //!
 //! Per connection the shard keeps a read buffer and a write buffer.
 //! One wakeup decodes *every* complete newline-delimited frame in the
@@ -30,10 +51,9 @@
 //! (shutdown)` on every connection before the shards exit.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,17 +63,23 @@ use crate::framing::{ConnEvent, ConnLimits};
 use crate::pool::Job;
 use crate::proto::{Request, Response};
 
-/// How long a shard sleeps when a full pass over its connections made
-/// no progress (no bytes moved, no slots completed). Short enough that
-/// an idle daemon answers a lone request in well under a millisecond.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
 /// How long shards keep flushing in-flight responses after shutdown is
 /// requested before abandoning the remaining connections.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 
-/// Read chunk size per `read` syscall.
+/// How soon a shard re-offers a job the full pool refused. Applies only
+/// while some connection holds such a job.
+const RETRY_TICK: Duration = Duration::from_millis(1);
+
+/// Bytes per `read` syscall, into one buffer owned by the shard.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Readiness events taken per `epoll_wait`.
+const MAX_EVENTS: usize = 256;
+
+/// The epoll token of a shard's eventfd. Connection tokens never reach
+/// it: their low half is a slab index.
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// One ordered response slot in a connection's reply queue.
 struct Slot {
@@ -66,12 +92,77 @@ struct Slot {
     observed: bool,
 }
 
+/// The cross-thread half of one shard.
+struct Wake {
+    /// Tokens of connections with a slot completed off the loop.
+    ready: Mutex<Vec<u64>>,
+    /// Streams handed off by the acceptor; `None` once the shard exits.
+    inbox: Mutex<Option<Vec<TcpStream>>>,
+    /// Set while a wakeup is pending or the shard is awake and will look
+    /// at `ready` and `inbox` before it next blocks. Only the notifier
+    /// that flips it writes the eventfd.
+    armed: AtomicBool,
+    poller: sys::Poller,
+}
+
+impl Wake {
+    fn notify(&self) {
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            self.poller.wake();
+        }
+    }
+}
+
+/// Any thread's side of one shard: the acceptor hands it streams, and
+/// a shutdown request wakes it.
+#[derive(Clone)]
+pub struct ShardHandle(Arc<Wake>);
+
+impl ShardHandle {
+    /// Give the shard a freshly accepted stream and wake it. Hands the
+    /// stream back if the shard has already exited.
+    pub fn hand_off(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        match self.0.inbox.lock().as_mut() {
+            Some(inbox) => inbox.push(stream),
+            None => return Err(stream),
+        }
+        self.0.notify();
+        Ok(())
+    }
+
+    /// Make the shard run one pass now: it re-reads the daemon's
+    /// shutdown flag, its inbox and its ready list.
+    pub fn wake(&self) {
+        self.0.notify();
+    }
+}
+
+/// One connection's wake hook, shared by its responders.
+struct ConnWake {
+    token: u64,
+    /// Whether `token` is on the ready list already, so a burst of
+    /// completions pushes it once. Cleared when the shard ticks it.
+    queued: AtomicBool,
+    shard: Arc<Wake>,
+}
+
+impl ConnWake {
+    fn notify(&self) {
+        if !self.queued.swap(true, Ordering::SeqCst) {
+            self.shard.ready.lock().push(self.token);
+            self.shard.notify();
+        }
+    }
+}
+
 /// Completes one response slot from any thread. Dropping a responder
 /// without calling [`Responder::complete`] fills the slot with an
 /// error, so a worker dying between dequeue and reply can never wedge
-/// the connection's ordered flush.
+/// the connection's ordered flush. Either way the owning shard is
+/// woken to flush it.
 pub struct Responder {
     slot: Option<Arc<Slot>>,
+    wake: Arc<ConnWake>,
 }
 
 impl Responder {
@@ -79,6 +170,7 @@ impl Responder {
     pub fn complete(mut self, response: Response) {
         if let Some(slot) = self.slot.take() {
             *slot.cell.lock() = Some(response);
+            self.wake.notify();
         }
     }
 }
@@ -92,6 +184,8 @@ impl Drop for Responder {
                     "request was dropped: server is shutting down",
                 ));
             }
+            drop(cell);
+            self.wake.notify();
         }
     }
 }
@@ -102,9 +196,9 @@ pub enum Dispatch {
     /// have, for requests answered inline on the loop thread).
     Accepted,
     /// The compute queue was full. The shard parks the prepared job and
-    /// re-offers it via [`EventHandler::retry`] each tick, decoding no
-    /// further frames from that connection until it is accepted —
-    /// backpressure without stalling the whole shard.
+    /// re-offers it via [`EventHandler::retry`] on a short retry tick,
+    /// decoding no further frames from that connection until it is
+    /// accepted — backpressure without stalling the whole shard.
     Busy(Job),
 }
 
@@ -141,15 +235,20 @@ pub struct EventLoopOptions {
     pub max_inflight_per_conn: usize,
 }
 
-/// Why a connection left the loop (internal).
-enum ConnFate {
-    Alive,
+/// What one service pass left behind (internal).
+enum Tick {
+    /// Still open; `moved` when the pass made progress, so another pass
+    /// may make more (the shard runs it next round).
+    Alive {
+        moved: bool,
+    },
     Closed,
 }
 
 /// Per-connection state owned by one shard.
 struct Conn {
     stream: TcpStream,
+    wake: Arc<ConnWake>,
     read_buf: Vec<u8>,
     /// Resume offset for the newline scan (bytes before it are known
     /// newline-free).
@@ -165,14 +264,19 @@ struct Conn {
     /// No more reads; flush the remaining slots and close.
     closing: bool,
     peer_eof: bool,
+    /// Input may be waiting in the socket: set by an epoll input edge,
+    /// cleared by a read that would block. Edge triggering never
+    /// re-reports bytes left unread at the in-flight cap.
+    readable: bool,
+    /// The shard round that last ticked this connection.
+    round: u64,
 }
 
 impl Conn {
-    fn adopt(stream: TcpStream) -> Option<Self> {
-        stream.set_nonblocking(true).ok()?;
-        let _ = stream.set_nodelay(true);
-        Some(Self {
+    fn new(stream: TcpStream, wake: Arc<ConnWake>) -> Self {
+        Self {
             stream,
+            wake,
             read_buf: Vec::new(),
             scan_from: 0,
             write_buf: Vec::new(),
@@ -183,7 +287,9 @@ impl Conn {
             last_activity: Instant::now(),
             closing: false,
             peer_eof: false,
-        })
+            readable: true,
+            round: 0,
+        }
     }
 
     /// Append a pre-completed reply (lifecycle byes and errors) that
@@ -216,47 +322,61 @@ impl Conn {
             && self.slots.len() < max_inflight
     }
 
-    /// One full service pass: retry deferred work, read + decode, check
-    /// the idle clock, drain completed slots, flush the write buffer.
+    /// When the idle clock expires, if it runs. Only a connection with
+    /// nothing pending in either direction can be idle (a request being
+    /// computed, or a reply mid-flush, is activity — same as the framed
+    /// loop, where the clock only runs while waiting for the next line).
+    fn idle_deadline(&self, idle_timeout: Duration) -> Option<Instant> {
+        if self.closing
+            || !self.slots.is_empty()
+            || self.write_buf.len() != self.write_pos
+            || self.deferred.is_some()
+        {
+            return None;
+        }
+        self.last_activity.checked_add(idle_timeout)
+    }
+
+    /// One service pass: retry deferred work, read + decode, check the
+    /// idle clock, drain completed slots, flush the write buffer. Reads
+    /// go through the shard's one `chunk` buffer.
     fn tick(
         &mut self,
         handler: &dyn EventHandler,
         opts: &EventLoopOptions,
-        progress: &mut bool,
-    ) -> ConnFate {
+        chunk: &mut [u8],
+    ) -> Tick {
         let max_inflight = opts.max_inflight_per_conn.max(1);
+        let mut moved = false;
 
         // Re-offer a parked compute job before anything else: its slot
         // is already in the queue and everything behind it is waiting.
         if let Some(job) = self.deferred.take() {
             match handler.retry(job) {
-                Ok(()) => *progress = true,
+                Ok(()) => moved = true,
                 Err(job) => self.deferred = Some(job),
             }
         }
 
-        // Read while the peer has bytes and the in-flight cap allows.
-        let mut chunk = [0u8; READ_CHUNK];
-        while self.may_read(max_inflight) {
-            match self.stream.read(&mut chunk) {
+        // Read until the socket would block, while the in-flight cap
+        // allows.
+        while self.readable && self.may_read(max_inflight) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.peer_eof = true;
-                    *progress = true;
+                    moved = true;
                 }
                 Ok(n) => {
-                    *progress = true;
+                    moved = true;
                     self.last_activity = Instant::now();
                     self.read_buf.extend_from_slice(&chunk[..n]);
                     if self.decode_frames(handler, &opts.limits, max_inflight) {
-                        return ConnFate::Closed;
-                    }
-                    if n < chunk.len() {
-                        break;
+                        return Tick::Closed;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.readable = false,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Closed,
+                Err(_) => return Tick::Closed,
             }
         }
 
@@ -267,9 +387,12 @@ impl Conn {
             && self.deferred.is_none()
             && !self.read_buf.is_empty()
             && self.slots.len() < max_inflight
-            && self.decode_frames(handler, &opts.limits, max_inflight)
         {
-            return ConnFate::Closed;
+            let buffered = self.read_buf.len();
+            if self.decode_frames(handler, &opts.limits, max_inflight) {
+                return Tick::Closed;
+            }
+            moved |= self.read_buf.len() != buffered;
         }
 
         // Peer EOF: only once no complete buffered frame remains can
@@ -279,15 +402,9 @@ impl Conn {
             self.on_eof(handler);
         }
 
-        // Idle: only a connection with nothing pending in either
-        // direction can be idle (a request being computed, or a reply
-        // mid-flush, is activity — same as the framed loop, where the
-        // clock only runs while waiting for the next line).
-        if !self.closing
-            && self.slots.is_empty()
-            && self.write_buf.len() == self.write_pos
-            && self.deferred.is_none()
-            && self.last_activity.elapsed() >= opts.limits.idle_timeout
+        if self
+            .idle_deadline(opts.limits.idle_timeout)
+            .is_some_and(|deadline| Instant::now() >= deadline)
         {
             handler.conn_event(ConnEvent::IdleClose);
             self.push_synthetic(Response::Bye {
@@ -302,10 +419,14 @@ impl Conn {
             let response = front.cell.lock().take();
             let Some(response) = response else { break };
             let front = self.slots.pop_front().expect("front exists");
-            *progress = true;
+            moved = true;
             if front.observed {
                 let ok = !matches!(response, Response::Error { .. });
-                let us = front.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                let us = front
+                    .started
+                    .elapsed()
+                    .as_micros()
+                    .min(u128::from(u64::MAX)) as u64;
                 handler.observe(front.op, us, ok);
             }
             if let Response::Bye { reason } = &response {
@@ -322,18 +443,18 @@ impl Conn {
             self.write_buf.extend_from_slice(line.as_bytes());
         }
 
-        // Flush as much of the write buffer as the socket accepts.
+        // Flush as much of the write buffer as the socket accepts; an
+        // `EPOLLOUT` edge resumes the rest.
         while self.write_pos < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => return ConnFate::Closed,
+                Ok(0) => return Tick::Closed,
                 Ok(n) => {
                     self.write_pos += n;
-                    *progress = true;
                     self.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Closed,
+                Err(_) => return Tick::Closed,
             }
         }
         if self.write_pos == self.write_buf.len() && self.write_pos > 0 {
@@ -348,9 +469,9 @@ impl Conn {
             && self.deferred.is_none()
             && self.write_buf.len() == self.write_pos
         {
-            return ConnFate::Closed;
+            return Tick::Closed;
         }
-        ConnFate::Alive
+        Tick::Alive { moved }
     }
 
     /// EOF from the peer: leftover bytes are a truncated frame,
@@ -433,7 +554,13 @@ impl Conn {
                         observed: true,
                     });
                     self.slots.push_back(Arc::clone(&slot));
-                    match handler.dispatch(req, Responder { slot: Some(slot) }) {
+                    match handler.dispatch(
+                        req,
+                        Responder {
+                            slot: Some(slot),
+                            wake: Arc::clone(&self.wake),
+                        },
+                    ) {
                         Dispatch::Accepted => {}
                         Dispatch::Busy(job) => self.deferred = Some(job),
                     }
@@ -443,9 +570,7 @@ impl Conn {
                     // a correct client treats `malformed request` as
                     // proof of in-flight corruption and retries.
                     let slot = Arc::new(Slot {
-                        cell: Mutex::new(Some(Response::error(format!(
-                            "malformed request: {e}"
-                        )))),
+                        cell: Mutex::new(Some(Response::error(format!("malformed request: {e}")))),
                         op: "malformed",
                         started,
                         observed: true,
@@ -468,69 +593,392 @@ impl Conn {
     }
 }
 
-/// Run one shard: adopt connections from `inbox`, tick them until the
-/// daemon shuts down, keep `live` in sync so the acceptor's admission
-/// check and `tracked_connections` see the true count.
-pub fn shard_loop(
-    inbox: &Receiver<TcpStream>,
-    handler: &Arc<dyn EventHandler>,
-    opts: &EventLoopOptions,
-    shutdown: &AtomicBool,
-    live: &AtomicUsize,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut shutdown_deadline: Option<Instant> = None;
-    let mut inbox_closed = false;
-    loop {
-        let mut progress = false;
+/// A shard's connections by token. The low 32 bits of a token index
+/// `entries`; the high 32 bits are the entry's generation, bumped on
+/// every removal, so a token that outlives its connection misses.
+#[derive(Default)]
+struct Slab {
+    entries: Vec<(u32, Option<Conn>)>,
+    free: Vec<usize>,
+    len: usize,
+}
 
-        while !inbox_closed {
-            match inbox.try_recv() {
-                Ok(stream) => {
-                    progress = true;
-                    match Conn::adopt(stream) {
-                        Some(conn) => conns.push(conn),
-                        None => {
-                            live.fetch_sub(1, Ordering::SeqCst);
+impl Slab {
+    fn get_mut(&mut self, token: u64) -> Option<&mut Conn> {
+        let (generation, conn) = self.entries.get_mut((token & 0xffff_ffff) as usize)?;
+        if u64::from(*generation) == token >> 32 {
+            conn.as_mut()
+        } else {
+            None
+        }
+    }
+
+    /// Take ownership of a stream and register it with the shard's
+    /// poller.
+    fn adopt(&mut self, stream: TcpStream, shard: &Arc<Wake>) -> io::Result<u64> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push((0, None));
+            self.entries.len() - 1
+        });
+        let token = u64::from(self.entries[idx].0) << 32 | idx as u64;
+        if let Err(e) = shard.poller.register(&stream, token) {
+            self.free.push(idx);
+            return Err(e);
+        }
+        let wake = Arc::new(ConnWake {
+            token,
+            queued: AtomicBool::new(false),
+            shard: Arc::clone(shard),
+        });
+        self.entries[idx].1 = Some(Conn::new(stream, wake));
+        self.len += 1;
+        Ok(token)
+    }
+
+    /// Drop a connection. Closing its stream also removes it from the
+    /// epoll set.
+    fn remove(&mut self, token: u64) {
+        let idx = (token & 0xffff_ffff) as usize;
+        let (generation, conn) = &mut self.entries[idx];
+        *generation = generation.wrapping_add(1);
+        *conn = None;
+        self.free.push(idx);
+        self.len -= 1;
+    }
+
+    fn tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, (generation, conn))| {
+                conn.as_ref()
+                    .map(|_| u64::from(*generation) << 32 | idx as u64)
+            })
+    }
+}
+
+/// Create one shard: the loop half, to run on its own thread, and the
+/// handle the acceptor hands streams to.
+pub fn shard() -> io::Result<(ShardHandle, Shard)> {
+    let wake = Arc::new(Wake {
+        ready: Mutex::new(Vec::new()),
+        inbox: Mutex::new(Some(Vec::new())),
+        // The shard starts awake.
+        armed: AtomicBool::new(true),
+        poller: sys::Poller::new(WAKE_TOKEN)?,
+    });
+    Ok((ShardHandle(Arc::clone(&wake)), Shard { wake }))
+}
+
+/// The loop half of one shard.
+pub struct Shard {
+    wake: Arc<Wake>,
+}
+
+impl Shard {
+    /// Serve connections until the daemon's `shutdown` flag is set and
+    /// [`ShardHandle::wake`] has woken the shard, keeping `live` in sync
+    /// so the acceptor's admission check and `tracked_connections` see
+    /// the true count.
+    pub fn run(
+        self,
+        handler: &Arc<dyn EventHandler>,
+        opts: &EventLoopOptions,
+        shutdown: &AtomicBool,
+        live: &AtomicUsize,
+    ) {
+        let handler = handler.as_ref();
+        let wake = &self.wake;
+        let mut conns = Slab::default();
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut events = vec![sys::Event::default(); MAX_EVENTS];
+        // Tokens to tick this round; tokens whose pass made progress;
+        // tokens holding a job the full pool refused.
+        let (mut todo, mut again, mut retry) = (Vec::new(), Vec::new(), Vec::new());
+        let mut next_idle: Option<Instant> = None;
+        let mut shutdown_deadline: Option<Instant> = None;
+        let mut round = 0u64;
+        loop {
+            round += 1;
+            let handed = wake.inbox.lock().as_mut().map(std::mem::take);
+            for stream in handed.unwrap_or_default() {
+                match conns.adopt(stream, wake) {
+                    Ok(token) => todo.push(token),
+                    Err(_) => {
+                        live.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+            }
+
+            if shutdown_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
+                shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
+                todo.extend(conns.tokens());
+            }
+            if next_idle.is_some_and(|deadline| Instant::now() >= deadline) {
+                next_idle = None;
+                todo.extend(conns.tokens());
+            }
+            todo.append(&mut retry);
+
+            for token in todo.drain(..) {
+                let Some(conn) = conns.get_mut(token) else {
+                    continue; // closed since the token was queued
+                };
+                if conn.round == round {
+                    continue;
+                }
+                conn.round = round;
+                if shutdown_deadline.is_some() {
+                    conn.begin_shutdown();
+                }
+                // Cleared before the pass: a slot completed after the
+                // pass has looked at it queues the token again.
+                conn.wake.queued.store(false, Ordering::SeqCst);
+                match conn.tick(handler, opts, &mut chunk) {
+                    Tick::Closed => {
+                        conns.remove(token);
+                        live.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    Tick::Alive { moved } => {
+                        if moved {
+                            again.push(token);
+                        }
+                        if conn.deferred.is_some() {
+                            retry.push(token);
+                        }
+                        if let Some(deadline) = conn.idle_deadline(opts.limits.idle_timeout) {
+                            next_idle = Some(next_idle.map_or(deadline, |d| d.min(deadline)));
                         }
                     }
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    inbox_closed = true;
-                    break;
+            }
+
+            if let Some(deadline) = shutdown_deadline {
+                if conns.len == 0 || Instant::now() >= deadline {
+                    let orphans = wake.inbox.lock().take().map_or(0, |v| v.len());
+                    live.fetch_sub(conns.len + orphans, Ordering::SeqCst);
+                    return;
                 }
             }
-        }
 
-        if shutdown.load(Ordering::SeqCst) {
-            if shutdown_deadline.is_none() {
-                shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
-            }
-            for conn in &mut conns {
-                conn.begin_shutdown();
-            }
-        }
-
-        conns.retain_mut(|conn| {
-            match conn.tick(handler.as_ref(), opts, &mut progress) {
-                ConnFate::Alive => true,
-                ConnFate::Closed => {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    false
+            // Block only when no pass left work behind. Disarm first,
+            // then look once more at everything a notifier publishes
+            // before it reads the flag: whatever lands after this look
+            // finds the waker disarmed and writes the eventfd.
+            let timeout = if again.is_empty() {
+                wake.armed.store(false, Ordering::SeqCst);
+                let pending = !wake.ready.lock().is_empty()
+                    || wake.inbox.lock().as_ref().is_some_and(|v| !v.is_empty())
+                    || (shutdown_deadline.is_none() && shutdown.load(Ordering::SeqCst));
+                let retry_at = (!retry.is_empty()).then(|| Instant::now() + RETRY_TICK);
+                match [next_idle, shutdown_deadline, retry_at]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                {
+                    _ if pending => Some(Duration::ZERO),
+                    Some(deadline) => Some(deadline.saturating_duration_since(Instant::now())),
+                    None => None,
                 }
+            } else {
+                Some(Duration::ZERO)
+            };
+            let n = wake.poller.wait(&mut events, timeout);
+            wake.armed.store(true, Ordering::SeqCst);
+            for event in &events[..n] {
+                let token = event.token();
+                if token == WAKE_TOKEN {
+                    wake.poller.drain_wake();
+                    continue;
+                }
+                if event.has_input() {
+                    if let Some(conn) = conns.get_mut(token) {
+                        conn.readable = true;
+                    }
+                }
+                todo.push(token);
             }
-        });
+            todo.append(&mut again);
+            todo.append(&mut wake.ready.lock());
+        }
+    }
+}
 
-        if let Some(deadline) = shutdown_deadline {
-            if conns.is_empty() || Instant::now() >= deadline {
-                live.fetch_sub(conns.len(), Ordering::SeqCst);
-                return;
-            }
+/// Epoll and eventfd through std-only `extern "C"` declarations.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::c_void;
+    use std::io;
+    use std::net::TcpStream;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::time::Duration;
+
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
+    const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLET: u32 = 1 << 31;
+    const EPOLL_CTL_ADD: i32 = 1;
+    /// `EPOLL_CLOEXEC` and `EFD_CLOEXEC` (both `O_CLOEXEC`).
+    const CLOEXEC: i32 = 0o2_000_000;
+    /// `EFD_NONBLOCK` (`O_NONBLOCK`).
+    const NONBLOCK: i32 = 0o4_000;
+
+    /// `struct epoll_event`, which the x86-64 ABI packs.
+    #[derive(Clone, Copy, Default)]
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    pub struct Event {
+        events: u32,
+        data: u64,
+    }
+
+    impl Event {
+        pub fn token(self) -> u64 {
+            self.data
         }
 
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+        /// Bytes, EOF or an error wait to be read.
+        pub fn has_input(self) -> bool {
+            self.events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0
+        }
+    }
+
+    extern "C" {
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut Event) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut Event, maxevents: i32, timeout: i32) -> i32;
+        fn eventfd(initval: u32, flags: i32) -> i32;
+        fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
+        fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
+    }
+
+    fn owned(rc: i32) -> io::Result<OwnedFd> {
+        if rc < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            // SAFETY: a nonnegative return is a fresh descriptor we own.
+            Ok(unsafe { OwnedFd::from_raw_fd(rc) })
+        }
+    }
+
+    /// An epoll instance with an eventfd registered level-triggered
+    /// under the wake token.
+    pub struct Poller {
+        epoll: OwnedFd,
+        wake: OwnedFd,
+    }
+
+    impl Poller {
+        pub fn new(wake_token: u64) -> io::Result<Self> {
+            // SAFETY: plain syscalls on integer arguments.
+            let epoll = owned(unsafe { epoll_create1(CLOEXEC) })?;
+            let wake = owned(unsafe { eventfd(0, CLOEXEC | NONBLOCK) })?;
+            let poller = Self { epoll, wake };
+            poller.add(poller.wake.as_raw_fd(), EPOLLIN, wake_token)?;
+            Ok(poller)
+        }
+
+        fn add(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
+            let mut event = Event {
+                events,
+                data: token,
+            };
+            // SAFETY: `event` outlives the call; the kernel copies it.
+            let rc = unsafe { epoll_ctl(self.epoll.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut event) };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        }
+
+        /// Watch a stream edge-triggered for input, output and hangup.
+        pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
+            let events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+            self.add(stream.as_raw_fd(), events, token)
+        }
+
+        /// Block until readiness or the timeout (`None`: no timeout),
+        /// rounded up to whole milliseconds so a deadline is never
+        /// undershot. Returns the number of events filled in.
+        pub fn wait(&self, events: &mut [Event], timeout: Option<Duration>) -> usize {
+            let ms = timeout.map_or(-1, |t| {
+                i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+            });
+            let max = i32::try_from(events.len()).unwrap_or(i32::MAX);
+            // SAFETY: the kernel writes at most `max` events into the
+            // buffer, which holds `events.len()`.
+            let rc = unsafe { epoll_wait(self.epoll.as_raw_fd(), events.as_mut_ptr(), max, ms) };
+            // -1 is EINTR here (the arguments are valid): a spurious
+            // wakeup.
+            usize::try_from(rc).unwrap_or(0)
+        }
+
+        /// Post a wakeup. A full counter (never reached) still reads as
+        /// readable, so a failed write loses nothing.
+        pub fn wake(&self) {
+            let one = 1u64;
+            // SAFETY: writes 8 bytes from a live u64.
+            unsafe { write(self.wake.as_raw_fd(), (&one as *const u64).cast(), 8) };
+        }
+
+        /// Reset the eventfd after it was reported readable.
+        pub fn drain_wake(&self) {
+            let mut count = 0u64;
+            // SAFETY: reads 8 bytes into a live u64.
+            unsafe { read(self.wake.as_raw_fd(), (&mut count as *mut u64).cast(), 8) };
+        }
+    }
+}
+
+/// The event core needs epoll: elsewhere creating a shard fails, and
+/// the daemon reports it at start (the threaded core runs anywhere).
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    use std::io;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    #[derive(Clone, Copy, Default)]
+    pub struct Event;
+
+    impl Event {
+        pub fn token(self) -> u64 {
+            0
+        }
+
+        pub fn has_input(self) -> bool {
+            false
+        }
+    }
+
+    pub enum Poller {}
+
+    impl Poller {
+        pub fn new(_wake_token: u64) -> io::Result<Self> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the event core needs Linux epoll; use the threaded core",
+            ))
+        }
+
+        pub fn register(&self, _stream: &TcpStream, _token: u64) -> io::Result<()> {
+            match *self {}
+        }
+
+        pub fn wait(&self, _events: &mut [Event], _timeout: Option<Duration>) -> usize {
+            match *self {}
+        }
+
+        pub fn wake(&self) {
+            match *self {}
+        }
+
+        pub fn drain_wake(&self) {
+            match *self {}
         }
     }
 }
@@ -538,7 +986,14 @@ pub fn shard_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::{SocketAddr, TcpListener};
     use std::sync::mpsc;
+    use std::thread::JoinHandle;
+
+    /// Every client read in these tests gives up after this long, so a
+    /// missing wakeup fails the test instead of hanging it.
+    const DEADLINE: Duration = Duration::from_secs(10);
 
     /// A handler that answers pings inline and never offloads.
     struct Echo;
@@ -562,41 +1017,116 @@ mod tests {
         fn wants_shutdown(&self) {}
     }
 
-    fn harness(
-        opts: EventLoopOptions,
-    ) -> (
-        std::net::SocketAddr,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            let (tx, rx) = mpsc::channel();
+    /// A handler that hands every responder to the test, numbered in
+    /// dispatch order, to be completed off the loop thread.
+    struct Offload(Mutex<(usize, mpsc::Sender<(usize, Responder)>)>);
+    impl EventHandler for Offload {
+        fn dispatch(&self, _req: Request, responder: Responder) -> Dispatch {
+            let mut guard = self.0.lock();
+            let (next, tx) = &mut *guard;
+            tx.send((*next, responder))
+                .expect("the test holds the receiver");
+            *next += 1;
+            Dispatch::Accepted
+        }
+        fn retry(&self, _job: Job) -> Result<(), Job> {
+            Ok(())
+        }
+        fn observe(&self, _op: &'static str, _us: u64, _ok: bool) {}
+        fn conn_event(&self, _ev: ConnEvent) {}
+        fn wants_shutdown(&self) {}
+    }
+
+    /// One shard behind a blocking acceptor.
+    struct Harness {
+        addr: SocketAddr,
+        shutdown: Arc<AtomicBool>,
+        handle: ShardHandle,
+        /// The shard thread's kernel thread id.
+        tid: u32,
+        acceptor: JoinHandle<()>,
+        shard: JoinHandle<()>,
+    }
+
+    impl Harness {
+        fn start(handler: Arc<dyn EventHandler>, opts: EventLoopOptions) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let shutdown = Arc::new(AtomicBool::new(false));
             let live = Arc::new(AtomicUsize::new(0));
-            let handler: Arc<dyn EventHandler> = Arc::new(Echo);
-            listener.set_nonblocking(true).unwrap();
-            let accept_shutdown = Arc::clone(&shutdown2);
-            let accept_live = Arc::clone(&live);
-            std::thread::spawn(move || {
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            accept_live.fetch_add(1, Ordering::SeqCst);
-                            let _ = tx.send(stream);
+            let (handle, shard) = super::shard().unwrap();
+            let (tid_tx, tid_rx) = mpsc::channel();
+            let shard = {
+                let (shutdown, live) = (Arc::clone(&shutdown), Arc::clone(&live));
+                std::thread::spawn(move || {
+                    let me = std::fs::read_link("/proc/thread-self").unwrap();
+                    let tid = me.file_name().unwrap().to_str().unwrap().parse().unwrap();
+                    tid_tx.send(tid).unwrap();
+                    shard.run(&handler, &opts, &shutdown, &live);
+                })
+            };
+            let acceptor = {
+                let (shutdown, handle) = (Arc::clone(&shutdown), handle.clone());
+                std::thread::spawn(move || {
+                    for stream in listener.incoming() {
+                        if shutdown.load(Ordering::SeqCst) {
+                            break;
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
+                        let Ok(stream) = stream else { continue };
+                        live.fetch_add(1, Ordering::SeqCst);
+                        if handle.hand_off(stream).is_err() {
+                            break;
                         }
-                        Err(_) => break,
                     }
+                })
+            };
+            let tid = tid_rx.recv_timeout(DEADLINE).unwrap();
+            Self {
+                addr,
+                shutdown,
+                handle,
+                tid,
+                acceptor,
+                shard,
+            }
+        }
+
+        fn connect(&self) -> (TcpStream, BufReader<TcpStream>) {
+            let stream = TcpStream::connect(self.addr).unwrap();
+            stream.set_read_timeout(Some(DEADLINE)).unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        }
+
+        /// Wait (under the deadline) until the shard thread is blocked
+        /// in `epoll_wait`. Kernels that hide `wchan` end the wait at
+        /// the deadline; the caller's checks still hold.
+        fn wait_until_parked(&self) {
+            let wchan = format!("/proc/self/task/{}/wchan", self.tid);
+            let until = Instant::now() + DEADLINE;
+            while Instant::now() < until {
+                if std::fs::read_to_string(&wchan).is_ok_and(|w| w == "ep_poll") {
+                    return;
                 }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Stop the shard and the acceptor, failing if the shard does
+        /// not exit within the deadline.
+        fn stop(self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.handle.wake();
+            let _ = TcpStream::connect(self.addr);
+            let (done_tx, done_rx) = mpsc::channel();
+            let shard = self.shard;
+            let joiner = std::thread::spawn(move || {
+                let _ = done_tx.send(shard.join().is_ok());
             });
-            shard_loop(&rx, &handler, &opts, &shutdown2, &live);
-        });
-        (addr, shutdown, handle)
+            assert_eq!(done_rx.recv_timeout(DEADLINE), Ok(true), "shard exits");
+            joiner.join().unwrap();
+            self.acceptor.join().unwrap();
+        }
     }
 
     fn opts(limits: ConnLimits) -> EventLoopOptions {
@@ -606,52 +1136,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipelined_pings_come_back_in_order() {
-        use std::io::{BufRead, BufReader};
-        let (addr, shutdown, handle) = harness(opts(ConnLimits {
+    fn roomy() -> ConnLimits {
+        ConnLimits {
             max_requests_per_conn: 1000,
             max_line_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(30),
-        }));
-        let mut stream = TcpStream::connect(addr).unwrap();
+        }
+    }
+
+    fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("a reply before the deadline");
+        line
+    }
+
+    #[test]
+    fn pipelined_pings_come_back_in_order() {
+        let h = Harness::start(Arc::new(Echo), opts(roomy()));
+        let (mut stream, mut reader) = h.connect();
         let burst = "{\"op\":\"ping\"}\n".repeat(50);
         stream.write_all(burst.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
         for _ in 0..50 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
+            let line = read_line(&mut reader);
             assert!(line.contains("pong"), "got {line:?}");
         }
         drop(reader);
         drop(stream);
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        h.stop();
     }
 
     #[test]
     fn oversize_mid_pipeline_answers_pending_then_errors() {
-        use std::io::{BufRead, BufReader};
-        let (addr, shutdown, handle) = harness(opts(ConnLimits {
-            max_requests_per_conn: 1000,
-            max_line_bytes: 64,
-            idle_timeout: Duration::from_secs(30),
-        }));
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let h = Harness::start(
+            Arc::new(Echo),
+            opts(ConnLimits {
+                max_line_bytes: 64,
+                ..roomy()
+            }),
+        );
+        let (mut stream, mut reader) = h.connect();
         let mut burst = String::from("{\"op\":\"ping\"}\n");
         burst.push_str(&"x".repeat(200));
         burst.push('\n');
         stream.write_all(burst.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+        let line = read_line(&mut reader);
         assert!(line.contains("pong"), "got {line:?}");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
+        let line = read_line(&mut reader);
         assert!(line.contains("exceeds 64 bytes"), "got {line:?}");
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "closed after");
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        assert_eq!(read_line(&mut reader), "", "closed after");
+        h.stop();
+    }
+
+    #[test]
+    fn offthread_completion_wakes_an_idle_shard() {
+        let (tx, rx) = mpsc::channel();
+        let h = Harness::start(Arc::new(Offload(Mutex::new((0, tx)))), opts(roomy()));
+        let (mut stream, mut reader) = h.connect();
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let (_, responder) = rx.recv_timeout(DEADLINE).unwrap();
+        // The shard has nothing left to do and blocks with no timeout;
+        // only the completion's wakeup can get the reply out.
+        h.wait_until_parked();
+        std::thread::spawn(move || responder.complete(Response::Pong))
+            .join()
+            .unwrap();
+        let line = read_line(&mut reader);
+        assert!(line.contains("pong"), "got {line:?}");
+        drop(stream);
+        h.stop();
+    }
+
+    #[test]
+    fn offthread_burst_past_the_inflight_cap_comes_back_whole_and_in_order() {
+        const CAP: usize = 4;
+        const BURST: usize = 4 * CAP;
+        let (tx, rx) = mpsc::channel();
+        let h = Harness::start(
+            Arc::new(Offload(Mutex::new((0, tx)))),
+            EventLoopOptions {
+                limits: roomy(),
+                max_inflight_per_conn: CAP,
+            },
+        );
+        let (mut stream, mut reader) = h.connect();
+        stream
+            .write_all("{\"op\":\"ping\"}\n".repeat(BURST).as_bytes())
+            .unwrap();
+        // Complete from another thread, each window of up to CAP in
+        // reverse, so slots fill out of order and the flush must wait
+        // for the front.
+        let completer = std::thread::spawn(move || {
+            let mut done = 0;
+            while done < BURST {
+                let mut window = vec![rx.recv_timeout(DEADLINE).unwrap()];
+                while let Ok(next) = rx.try_recv() {
+                    window.push(next);
+                }
+                done += window.len();
+                for (n, responder) in window.into_iter().rev() {
+                    responder.complete(Response::error(format!("reply {n}")));
+                }
+            }
+        });
+        for n in 0..BURST {
+            let line = read_line(&mut reader);
+            assert!(
+                line.contains(&format!("reply {n}\"")),
+                "reply {n}: got {line:?}"
+            );
+        }
+        completer.join().unwrap();
+        drop(stream);
+        h.stop();
+    }
+
+    #[test]
+    fn an_idle_shard_shuts_down_promptly() {
+        let h = Harness::start(Arc::new(Echo), opts(roomy()));
+        let (mut stream, mut reader) = h.connect();
+        // One round trip proves the shard owns the connection.
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert!(read_line(&mut reader).contains("pong"));
+        h.wait_until_parked();
+        h.stop();
+        let line = read_line(&mut reader);
+        assert!(line.contains("shutdown"), "got {line:?}");
     }
 }

@@ -10,9 +10,10 @@
 //!   dispatch, sharded LRU result cache, metrics, graceful shutdown,
 //!   with two service cores (nonblocking event loop by default, the
 //!   thread-per-connection baseline behind [`server::CoreMode`]);
-//! * [`event_loop`] — the nonblocking readiness shards: per-connection
-//!   read/write buffers, pipelined frame decoding, ordered response
-//!   slots completed from worker-pool callbacks;
+//! * [`event_loop`] — the nonblocking readiness shards (epoll and an
+//!   eventfd waker, Linux-only): per-connection read/write buffers,
+//!   pipelined frame decoding, ordered response slots completed from
+//!   worker-pool callbacks;
 //! * [`client`] — a blocking typed client, with optional deadlines
 //!   ([`client::ClientConfig`]) and a retrying wrapper
 //!   ([`client::RetryingClient`]) that reconnects and re-sends under a

@@ -494,12 +494,12 @@ pub struct SolveOutcome {
     pub cached: bool,
     /// Training error achieved.
     pub error: f64,
-    /// Solver work measure (`evaluated + pruned` for brute force).
+    /// Solver work measure, a function of the request alone (for brute
+    /// force, the tuples the sequential scan touches). The
+    /// scheduling-dependent evaluated/pruned tallies of a parallel sweep
+    /// stay out of the reply: they go to `stats` and traces. Older peers
+    /// that still send them have the two fields ignored.
     pub work: usize,
-    /// Parameter tuples tallied to completion.
-    pub evaluated: usize,
-    /// Parameter tuples pruned mid-tally.
-    pub pruned: usize,
     /// Solver name (as in `SolveReport::solver_name`).
     pub solver: String,
     /// The learned hypothesis.
@@ -769,8 +769,6 @@ impl Response {
                 ("cached", Json::Bool(o.cached)),
                 ("error", Json::Num(o.error)),
                 ("work", Json::int(o.work)),
-                ("evaluated", Json::int(o.evaluated)),
-                ("pruned", Json::int(o.pruned)),
                 ("solver", Json::str(o.solver.clone())),
                 ("hypothesis", o.hypothesis.to_json()),
                 ("trace", o.trace.clone().unwrap_or(Json::Null)),
@@ -860,8 +858,6 @@ impl Response {
                     .and_then(Json::as_num)
                     .ok_or_else(|| ProtoError::new("solved.error must be a number"))?,
                 work: get_usize(v, "work")?,
-                evaluated: get_usize(v, "evaluated")?,
-                pruned: get_usize(v, "pruned")?,
                 solver: get_str(v, "solver")?.to_string(),
                 hypothesis: WireHypothesis::from_json(
                     v.get("hypothesis")
@@ -1110,8 +1106,6 @@ mod tests {
                 cached: true,
                 error: 0.125,
                 work: 1024,
-                evaluated: 25,
-                pruned: 999,
                 solver: "brute-force (Prop 11)".to_string(),
                 hypothesis: WireHypothesis {
                     id: 3,
@@ -1140,8 +1134,6 @@ mod tests {
                 cached: false,
                 error: 0.0,
                 work: 1,
-                evaluated: 1,
-                pruned: 0,
                 solver: "nd (Thm 13)".to_string(),
                 hypothesis: WireHypothesis {
                     id: 4,
@@ -1304,6 +1296,8 @@ mod tests {
             Response::Solved(o) => {
                 assert_eq!(o.hypothesis.type_keys, Vec::<u64>::new());
                 assert_eq!(o.provenance, None);
+                // An older peer's evaluated/pruned tallies are ignored.
+                assert_eq!(o.work, 1);
             }
             other => panic!("{other:?}"),
         }

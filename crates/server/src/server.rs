@@ -3,10 +3,12 @@
 //!
 //! Two service cores share all of the dispatch logic:
 //!
-//! * [`CoreMode::EventLoop`] (the default) — the nonblocking readiness
-//!   shards of [`crate::event_loop`]: a fixed set of loop threads
-//!   drives every connection with per-connection read/write buffers,
-//!   decodes many pipelined frames per wakeup, answers cheap requests
+//! * [`CoreMode::EventLoop`] (the default; Linux-only) — the
+//!   nonblocking readiness shards of [`crate::event_loop`]: a fixed set
+//!   of loop threads, each blocked in `epoll_wait` until a socket, a
+//!   completed job or a deadline needs it, drives every connection
+//!   with per-connection read/write buffers, decodes many pipelined
+//!   frames per wakeup, answers cheap requests
 //!   (ping, stats, register, cache hits, validation errors) inline on
 //!   the loop thread, and offloads compute-shaped work (`solve`,
 //!   `evaluate`, `modelcheck`) to the bounded [`WorkerPool`], whose
@@ -49,7 +51,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,7 +66,7 @@ use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
 use crate::cache::{ShardedCache, ShardedMap};
-use crate::event_loop::{self, Dispatch, EventHandler, EventLoopOptions, Responder};
+use crate::event_loop::{self, Dispatch, EventHandler, EventLoopOptions, Responder, ShardHandle};
 use crate::framing::{self, ConnEvent, ConnLimits};
 use crate::metrics::Metrics;
 use crate::pool::{Job, TrySubmit, WorkerPool};
@@ -127,7 +129,8 @@ pub struct ServerConfig {
     /// Close a connection after this long without activity (a completed
     /// request or partial bytes of an in-progress frame). Bounds
     /// abandoned sockets; the oversize cap bounds slow-loris peers.
-    /// Detection granularity is the read-poll interval.
+    /// The event core wakes at the deadline; the threaded core detects
+    /// it within its read-poll interval.
     pub idle_timeout: Duration,
     /// Concurrent connections the daemon accepts; above the cap a fresh
     /// connection is greeted with `bye` and closed (counted under
@@ -202,6 +205,9 @@ struct State {
     inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
     metrics: Metrics,
     shutdown: AtomicBool,
+    /// Event core only: one handle per shard, so a shutdown request
+    /// reaches shards blocked in `epoll_wait`.
+    shards: OnceLock<Vec<ShardHandle>>,
     addr: SocketAddr,
     max_requests_per_conn: usize,
     max_line_bytes: usize,
@@ -250,6 +256,9 @@ impl State {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        for shard in self.shards.get().into_iter().flatten() {
+            shard.wake();
+        }
         // Poke the acceptor so a blocking accept() observes the flag.
         let _ = TcpStream::connect(self.addr);
     }
@@ -381,6 +390,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         inflight: Mutex::new(HashMap::new()),
         metrics: Metrics::new(),
         shutdown: AtomicBool::new(false),
+        shards: OnceLock::new(),
         addr,
         max_requests_per_conn: config.max_requests_per_conn.max(1),
         max_line_bytes: config.max_line_bytes.max(1),
@@ -579,20 +589,21 @@ fn start_event(
         pool: Arc::clone(&pool),
     });
 
-    let mut senders = Vec::with_capacity(num_loops);
+    let (handles, shards): (Vec<_>, Vec<_>) = (0..num_loops)
+        .map(|_| event_loop::shard())
+        .collect::<std::io::Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
+    let _ = state.shards.set(handles.clone());
     let mut loops = Vec::with_capacity(num_loops);
-    for i in 0..num_loops {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        senders.push(tx);
+    for (i, shard) in shards.into_iter().enumerate() {
         let handler = Arc::clone(&handler);
         let live = Arc::clone(&live);
         let state = Arc::clone(&state);
         loops.push(
             std::thread::Builder::new()
                 .name(format!("folearn-loop-{i}"))
-                .spawn(move || {
-                    event_loop::shard_loop(&rx, &handler, &opts, &state.shutdown, &live)
-                })?,
+                .spawn(move || shard.run(&handler, &opts, &state.shutdown, &live))?,
         );
     }
 
@@ -620,14 +631,13 @@ fn start_event(
                     }
                     state.metrics.record_connection();
                     live.fetch_add(1, Ordering::SeqCst);
-                    let shard = next % senders.len();
+                    let shard = next % handles.len();
                     next = next.wrapping_add(1);
-                    if let Err(back) = senders[shard].send(stream) {
+                    if let Err(mut stream) = handles[shard].hand_off(stream) {
                         // The shard is gone (only plausible during
                         // shutdown): degrade with a reply, not a panic.
                         live.fetch_sub(1, Ordering::SeqCst);
                         state.metrics.record_rejected_connection();
-                        let mut stream = back.0;
                         let _ = framing::write_response(
                             &mut stream,
                             &Response::error("server overloaded: event loop unavailable"),
@@ -1280,8 +1290,6 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         cached: false,
         error: report.error,
         work: report.work,
-        evaluated: report.evaluated_params,
-        pruned: report.pruned_params,
         solver: report.solver_name.to_string(),
         hypothesis: wire,
         trace,

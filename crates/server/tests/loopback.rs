@@ -47,7 +47,7 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
         .expect("cold solve");
     assert!(!cold.cached);
     assert_eq!(cold.error, 0.0, "Red(x0) realises the sample");
-    assert!(cold.evaluated > 0);
+    assert!(cold.work > 0);
 
     let warm = client
         .solve(structure, sample(), 1, 1, 0.0, SolverSpec::default_brute())

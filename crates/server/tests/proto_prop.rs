@@ -209,8 +209,6 @@ proptest! {
         cached in 0u32..2,
         err_mil in 0u32..=1000,
         work in 0usize..100000,
-        evaluated in 0usize..100000,
-        pruned in 0usize..100000,
         solver in nasty_string(),
         id in 0u64..=u64::MAX,
         params in collection::vec(0u32..100, 0..4),
@@ -250,8 +248,6 @@ proptest! {
             cached: cached == 1,
             error: f64::from(err_mil) / 1000.0,
             work,
-            evaluated,
-            pruned,
             solver,
             hypothesis: WireHypothesis { id, params, q, mode, types, type_keys, describe },
             trace,

@@ -12,6 +12,9 @@ cargo test  --offline -q --workspace
 # The obs crate must also pass with capture compiled out (the no-op
 # mirror of the probe API keeps instrumented callers building).
 cargo test  --offline -q -p folearn-obs --no-default-features
+# The benchmark is a package of its own (outside the workspace): its unit
+# tests and its smoke test (all four workloads at tiny counts) run here.
+cargo test  --offline -q --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # --- folearn-server smoke test (hermetic: loopback only, ephemeral port) ---
@@ -172,11 +175,12 @@ grep -q '"unrecovered_errors": 0' "$SMOKE/BENCH_fault.json"
 
 # --- VM engine smoke test (hermetic: local files only) --------------------
 # The compiled bytecode engine must agree with the tree walker on a real
-# learn and a model check, straight through the CLI flag.
+# learn and a model check, straight through the CLI flag. One sweep thread:
+# with more, the report's evaluated/pruned tallies depend on scheduling.
 "$FOLEARN" learn --graph "$SMOKE/graph.txt" --examples "$SMOKE/sample.txt" \
-    --ell 1 --q 1 --engine tree > "$SMOKE/learn_tree.txt"
+    --ell 1 --q 1 --threads 1 --engine tree > "$SMOKE/learn_tree.txt"
 "$FOLEARN" learn --graph "$SMOKE/graph.txt" --examples "$SMOKE/sample.txt" \
-    --ell 1 --q 1 --engine vm > "$SMOKE/learn_vm.txt"
+    --ell 1 --q 1 --threads 1 --engine vm > "$SMOKE/learn_vm.txt"
 diff "$SMOKE/learn_tree.txt" "$SMOKE/learn_vm.txt"
 TREE_MC=$("$FOLEARN" modelcheck --graph "$SMOKE/graph.txt" \
     --formula 'exists x0. Red(x0) & exists x1. E(x0, x1) & !Red(x1)' --engine tree)

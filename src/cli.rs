@@ -599,11 +599,7 @@ fn cmd_client(opts: &Options) -> Result<String, CliError> {
                 if outcome.cached { "yes" } else { "no" }
             );
             let _ = writeln!(out, "training error:  {:.4}", outcome.error);
-            let _ = writeln!(
-                out,
-                "work units:      {} ({} evaluated, {} pruned)",
-                outcome.work, outcome.evaluated, outcome.pruned
-            );
+            let _ = writeln!(out, "work units:      {}", outcome.work);
             let _ = writeln!(out, "hypothesis id:   {}", hex64(outcome.hypothesis.id));
             let _ = writeln!(out, "hypothesis:      {}", outcome.hypothesis.describe);
             if let Some(path) = opts.get("trace-out") {
@@ -1068,9 +1064,11 @@ mod tests {
         assert!(run("learn", &base(&["--prune", "maybe"])).is_err());
         assert!(run("learn", &base(&["--threads", "two"])).is_err());
         // The VM engine reproduces the tree-walker's report exactly (the
-        // cross-validation inside the solve would panic otherwise).
-        let tree = run("learn", &base(&["--engine", "tree"])).unwrap();
-        let vm = run("learn", &base(&["--engine", "vm"])).unwrap();
+        // cross-validation inside the solve would panic otherwise). One
+        // sweep thread: with more, the evaluated/pruned tallies depend
+        // on scheduling, whatever the engine.
+        let tree = run("learn", &base(&["--engine", "tree", "--threads", "1"])).unwrap();
+        let vm = run("learn", &base(&["--engine", "vm", "--threads", "1"])).unwrap();
         assert_eq!(tree, vm);
         assert!(run("learn", &base(&["--engine", "warp"])).is_err());
     }

@@ -20,6 +20,7 @@ use folearn_suite::core::covering::{verify_covering, vitali_cover};
 use folearn_suite::core::fit::{fit_with_params, TypeMode};
 use folearn_suite::core::problem::{ErmInstance, TrainingSequence};
 use folearn_suite::core::shared_arena;
+use folearn_suite::core::{solve_fo_erm, Solver};
 use folearn_suite::graph::splitter::{
     play_game, ForestSplitter, MaxBallConnector, RandomConnector, SplitterStrategy,
 };
@@ -239,6 +240,35 @@ proptest! {
                 "predictions diverge at {}", v
             );
         }
+    }
+
+    #[test]
+    fn reported_work_is_the_sequential_touched_count(
+        g in arb_graph(), labels in 0u64..256, ell in 0usize..3,
+        threads in 1usize..5, prune in 0u32..2, block in 1usize..4
+    ) {
+        // The work figure a solve reports (and a daemon replies with and
+        // caches) must not depend on scheduling: it is exactly the tuple
+        // count of the sequential reference scan, for any thread count,
+        // block size or pruning setting.
+        let examples = TrainingSequence::from_pairs(
+            g.vertices()
+                .enumerate()
+                .map(|(i, v)| (vec![v], labels >> i & 1 == 1)),
+        );
+        let inst = ErmInstance::new(&g, examples, 1, ell, 1, 0.0);
+        let seq = brute_force_erm_sequential(&inst, TypeMode::Global, &shared_arena(&g));
+        let opts = BruteForceOpts {
+            threads: Some(threads),
+            prune: prune == 1,
+            block_size: Some(block),
+        };
+        let par = brute_force_erm_with(&inst, TypeMode::Global, &shared_arena(&g), &opts);
+        prop_assert_eq!(seq.touched_params, seq.evaluated_params);
+        prop_assert_eq!(par.touched_params, seq.evaluated_params);
+        let solver = Solver::BruteForce { mode: TypeMode::Global, opts };
+        let report = solve_fo_erm(&inst, &solver, &shared_arena(&g));
+        prop_assert_eq!(report.work, seq.evaluated_params);
     }
 
     #[test]
