@@ -13,6 +13,9 @@
 //!   engine);
 //! * [`PowHistogram`] — the power-of-two histogram behind the server's
 //!   latency metrics and span-duration aggregation;
+//! * [`Registry`] — the one metrics registry both daemons keep and
+//!   render their `stats` payload with: per-endpoint latency rows, the
+//!   span rollup, the 60 s [`TimeSeries`], and named counters;
 //! * [`Json`] — the shared JSON value tree (wire protocol, bench
 //!   reports, trace files);
 //! * [`export`] — JSONL and tree-summary exporters.
@@ -25,11 +28,13 @@
 pub mod export;
 pub mod hist;
 pub mod json;
+pub mod registry;
 pub mod series;
 pub mod span;
 
 pub use hist::{PowHistogram, BUCKETS};
 pub use json::{Json, JsonError};
+pub use registry::{endpoint_row, latency_json, Registry};
 pub use series::{TimeSeries, WINDOW_S};
 pub use span::{
     adopt, count, enabled, meta, set_enabled, span, take_thread_roots, Counter, CounterSet,

@@ -5,9 +5,9 @@
 //! [`PowHistogram`], cache hit/miss counts, and hedge counters for its
 //! second; a slot is lazily re-tagged (and reset) when the ring wraps
 //! onto it, so recording is O(1) and the series never allocates after
-//! construction. The server's and router's metrics each embed one
-//! behind their existing mutex and expose it through `stats` as a
-//! `series` object, which `folearn top` turns into rates.
+//! construction. Each daemon's [`crate::Registry`] embeds one behind
+//! its mutex and exposes it through `stats` as a `series` object, which
+//! `folearn top` turns into rates.
 //!
 //! Every mutating method has an `_at(sec, …)` variant taking an
 //! explicit second tag so tests are deterministic; the untagged

@@ -42,20 +42,45 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use folearn_graph::io;
+use folearn_obs::{latency_json, Counter, PowHistogram, Registry};
 use folearn_server::client::{ClientApi, ClientConfig, ClientError, RetryPolicy, RetryingClient};
-use folearn_server::framing::{self, ConnEvent, ConnLimits};
+use folearn_server::framing::{self, ConnLimits};
 use folearn_server::proto::{
     fnv1a64, hex64, Json, Request, Response, TraceContext, WireBinding, WireProvenance,
 };
 use parking_lot::Mutex;
 
 use crate::health::{run_probe_loop, Health, PROBE_PERIOD};
-use crate::metrics::{aggregate_cluster, NodeStats, RouterMetrics};
+use crate::metrics::{aggregate_cluster, NodeStats};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Idle pooled connections kept per backend; excess checkins are
 /// dropped (closing the socket).
 const POOL_KEEP: usize = 8;
+
+/// The `stats` layout: every slot in render order (see
+/// [`Registry::new`]). `backends` is rendered by [`backend_rows`]; the
+/// rest are counters and gauges. The connection-lifecycle names are the
+/// backend daemon's, incremented through `ConnEvent::name`.
+const STATS_LAYOUT: &[&str] = &[
+    "hedges_fired",
+    "hedges_won",
+    "replica_retries",
+    "failovers",
+    "repairs_performed",
+    "rebinds_avoided",
+    "rejected_connections",
+    "structures",
+    "hypotheses",
+    "connections",
+    "over_limit_closes",
+    "idle_closes",
+    "oversize_closes",
+    "truncated_frames",
+    "endpoints",
+    "backends",
+    "series",
+];
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -128,6 +153,42 @@ struct Backend {
     addr: String,
     pool: Mutex<Vec<RetryingClient>>,
     health: Health,
+    /// Every call's latency (µs) and how many failed: the backend's
+    /// `stats` row.
+    calls: Mutex<BackendCalls>,
+}
+
+#[derive(Default)]
+struct BackendCalls {
+    errors: u64,
+    latency: PowHistogram,
+}
+
+impl Backend {
+    fn new(addr: &str, eject_after: u32) -> Self {
+        Self {
+            addr: addr.to_string(),
+            pool: Mutex::new(Vec::new()),
+            health: Health::new(eject_after),
+            calls: Mutex::new(BackendCalls::default()),
+        }
+    }
+
+    /// Account one call that took `elapsed` and update health; `true`
+    /// iff this failure ejected the backend.
+    fn note(&self, ok: bool, elapsed: Duration) -> bool {
+        {
+            let mut calls = self.calls.lock();
+            calls.errors += u64::from(!ok);
+            calls.latency.record(elapsed.as_micros() as u64);
+        }
+        if ok {
+            self.health.record_ok();
+            false
+        } else {
+            self.health.record_failure()
+        }
+    }
 }
 
 /// Placement record for one registered structure.
@@ -166,7 +227,7 @@ struct RouterState {
     /// Span/trace id allocator for stitched traces.
     next_trace: AtomicU64,
     trace_enabled: bool,
-    metrics: RouterMetrics,
+    metrics: Registry,
     shutdown: AtomicBool,
     addr: SocketAddr,
     limits: ConnLimits,
@@ -195,17 +256,12 @@ impl RouterState {
         }
     }
 
-    /// Account one backend call and update its health.
-    fn note_result(&self, bi: usize, ok: bool) {
-        self.metrics.record_backend_call(bi, ok);
-        let health = &self.backends[bi].health;
-        if ok {
-            if !health.is_live() {
-                self.metrics.record_recovery(bi);
-            }
-            health.record_ok();
-        } else if health.record_failure() {
-            self.metrics.record_ejection(bi);
+    /// Account one backend call that took `elapsed` and update the
+    /// backend's health.
+    fn note_result(&self, bi: usize, ok: bool, elapsed: Duration) {
+        if self.backends[bi].note(ok, elapsed) {
+            self.metrics.add("failovers", 1);
+            folearn_obs::count(Counter::Failovers, 1);
         }
     }
 
@@ -229,11 +285,6 @@ impl RouterState {
             }
         }
         out
-    }
-
-    fn sync_gauges(&self) {
-        self.metrics
-            .set_store_sizes(self.structures.lock().len(), self.hyps.lock().len());
     }
 
     /// A fresh span/trace id for stitched traces.
@@ -312,11 +363,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         backends: config
             .backends
             .iter()
-            .map(|a| Backend {
-                addr: a.clone(),
-                pool: Mutex::new(Vec::new()),
-                health: Health::new(config.eject_after),
-            })
+            .map(|a| Backend::new(a, config.eject_after))
             .collect(),
         ring: HashRing::new(config.backends.clone(), config.vnodes.max(1)),
         replicas: config.replicas.max(1),
@@ -329,7 +376,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         selection_tick: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
-        metrics: RouterMetrics::new_with_backends(&config.backends),
+        metrics: Registry::new("router", STATS_LAYOUT),
         shutdown: AtomicBool::new(false),
         addr,
         limits: ConnLimits {
@@ -358,7 +405,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
                         conns.len() < max_connections
                     };
                     if !admitted {
-                        state.metrics.record_rejected_connection();
+                        state.metrics.add("rejected_connections", 1);
                         let _ = framing::write_response(
                             &mut stream,
                             &Response::Bye {
@@ -367,6 +414,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
                         );
                         continue;
                     }
+                    state.metrics.add("connections", 1);
                     // Keep a reply handle: if the spawn fails (thread
                     // limit, OOM) the stream has moved into the dropped
                     // closure, and this clone lets the router degrade
@@ -379,7 +427,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
                     match spawned {
                         Ok(handle) => connections.lock().push(handle),
                         Err(_) => {
-                            state.metrics.record_rejected_connection();
+                            state.metrics.add("rejected_connections", 1);
                             if let Some(mut s) = reply {
                                 let _ = framing::write_response(
                                     &mut s,
@@ -424,7 +472,7 @@ fn serve_connection(state: &Arc<RouterState>, stream: TcpStream) {
         &state.shutdown,
         |req| handle_request(state, req),
         |op, us, ok| state.metrics.record_request(op, us, ok),
-        |_ev: ConnEvent| {},
+        |ev| state.metrics.add(ev.name(), 1),
     );
     if wants_shutdown {
         state.request_shutdown();
@@ -438,8 +486,10 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
             reason: "shutdown".to_string(),
         },
         Request::Stats => {
-            state.sync_gauges();
-            let mut data = state.metrics.snapshot();
+            let metrics = &state.metrics;
+            metrics.set("structures", state.structures.lock().len() as u64);
+            metrics.set("hypotheses", state.hyps.lock().len() as u64);
+            let mut data = metrics.snapshot(vec![("backends", backend_rows(&state.backends))]);
             // Fan the stats request out to every backend and attach the
             // merged cluster view to the router's own snapshot.
             let cluster = cluster_stats(state);
@@ -499,13 +549,14 @@ fn handle_register(state: &Arc<RouterState>, graph_text: &str) -> Response {
     let mut placed = Vec::new();
     let mut last_error = String::new();
     for &bi in &replicas {
+        let started = Instant::now();
         match register_on(state, bi, &canonical) {
             Ok(()) => {
-                state.note_result(bi, true);
+                state.note_result(bi, true, started.elapsed());
                 placed.push(state.backends[bi].addr.clone());
             }
             Err(e) => {
-                state.note_result(bi, false);
+                state.note_result(bi, false, started.elapsed());
                 last_error = e.to_string();
             }
         }
@@ -651,7 +702,9 @@ where
             match rx.recv_timeout(state.hedge_delay.expect("checked by may_hedge")) {
                 Ok(m) => m,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    state.metrics.record_hedge_fired();
+                    state.metrics.add("hedges_fired", 1);
+                    state.metrics.series(|s| s.record_hedge(false));
+                    folearn_obs::count(Counter::HedgesFired, 1);
                     launch(&mut attempts, next, "hedge");
                     next += 1;
                     outstanding += 1;
@@ -680,9 +733,11 @@ where
                 if let Some(slot) = attempts.iter_mut().find(|a| a.rank == rank) {
                     slot.outcome = AttemptOutcome::Won;
                 }
-                state.note_result(candidates[rank], true);
+                state.note_result(candidates[rank], true, Duration::from_nanos(elapsed_ns));
                 if is_hedge {
-                    state.metrics.record_hedge_won();
+                    state.metrics.add("hedges_won", 1);
+                    state.metrics.series(|s| s.record_hedge_won());
+                    folearn_obs::count(Counter::HedgesWon, 1);
                 }
                 return Ok(Winner {
                     response,
@@ -696,7 +751,7 @@ where
                 if let Some(slot) = attempts.iter_mut().find(|a| a.rank == rank) {
                     slot.outcome = AttemptOutcome::Failed(e.to_string());
                 }
-                state.note_result(candidates[rank], false);
+                state.note_result(candidates[rank], false, Duration::from_nanos(elapsed_ns));
                 outstanding -= 1;
                 if !is_transport(&e) {
                     // Deterministic rejection: every replica would say
@@ -707,7 +762,8 @@ where
                     });
                 }
                 if next < candidates.len() {
-                    state.metrics.record_replica_retry();
+                    state.metrics.add("replica_retries", 1);
+                    folearn_obs::count(Counter::ReplicaRetries, 1);
                     launch(&mut attempts, next, "failover");
                     next += 1;
                     outstanding += 1;
@@ -834,7 +890,7 @@ fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
             } = w;
             match response {
                 Response::Solved(mut outcome) => {
-                    state.metrics.record_cache_event(outcome.cached);
+                    state.metrics.series(|s| s.record_cache(outcome.cached));
                     let backend_id = outcome.hypothesis.id;
                     let router_id = state.next_hyp.fetch_add(1, Ordering::SeqCst);
                     // The stored replay request carries no trace context:
@@ -972,6 +1028,27 @@ fn stitch_trace(
     Json::Obj(pairs)
 }
 
+/// The router's per-backend `stats` rows: call counts, errors and
+/// latency from [`Backend::calls`], ejection state from its health.
+fn backend_rows(backends: &[Backend]) -> Json {
+    Json::Arr(
+        backends
+            .iter()
+            .map(|b| {
+                let calls = b.calls.lock();
+                Json::obj([
+                    ("addr", Json::str(b.addr.clone())),
+                    ("requests", Json::Num(calls.latency.count() as f64)),
+                    ("errors", Json::Num(calls.errors as f64)),
+                    ("ejections", Json::Num(b.health.ejections() as f64)),
+                    ("live", Json::Bool(b.health.is_live())),
+                    ("latency", latency_json(&calls.latency)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 /// Fan `stats` out to every backend and merge the snapshots into the
 /// cluster view ([`aggregate_cluster`]). An unreachable backend
 /// contributes an error row (and a health strike) instead of numbers.
@@ -981,12 +1058,13 @@ fn cluster_stats(state: &Arc<RouterState>) -> Json {
         .iter()
         .enumerate()
         .map(|(bi, b)| {
+            let started = Instant::now();
             let stats = state.checkout(bi).and_then(|mut client| {
                 let snap = client.stats()?;
                 state.checkin(bi, client);
                 Ok(snap)
             });
-            state.note_result(bi, stats.is_ok());
+            state.note_result(bi, stats.is_ok(), started.elapsed());
             NodeStats {
                 addr: b.addr.clone(),
                 live: b.health.is_live(),
@@ -1203,10 +1281,11 @@ fn repair_backend(
     structures: &[(u64, StructureEntry)],
     hyps: &[(u64, u64, Request)],
 ) {
+    let started = Instant::now();
     let mut client = match state.checkout(bi) {
         Ok(c) => c,
         Err(_) => {
-            state.note_result(bi, false);
+            state.note_result(bi, false, started.elapsed());
             return;
         }
     };
@@ -1215,16 +1294,16 @@ fn repair_backend(
         Err(ClientError::Server { .. }) => {
             // Pre-inventory backend: a clean protocol exchange, so it
             // is alive — no strike, nothing to diff.
-            state.note_result(bi, true);
+            state.note_result(bi, true, started.elapsed());
             state.checkin(bi, client);
             return;
         }
         Err(_) => {
-            state.note_result(bi, false);
+            state.note_result(bi, false, started.elapsed());
             return;
         }
     };
-    state.note_result(bi, true);
+    state.note_result(bi, true, started.elapsed());
     let have_structures: HashSet<u64> = have_structures.into_iter().collect();
     let have_ids: HashSet<u64> = have_hyps.iter().map(|b| b.id).collect();
 
@@ -1232,13 +1311,14 @@ fn repair_backend(
         if !entry.replicas.contains(&bi) || have_structures.contains(hash) {
             continue;
         }
+        let started = Instant::now();
         match client.register(&entry.graph_text) {
             Ok(_) => {
-                state.metrics.record_repair();
-                state.note_result(bi, true);
+                state.metrics.add("repairs_performed", 1);
+                state.note_result(bi, true, started.elapsed());
             }
             Err(e) => {
-                state.note_result(bi, !is_transport(&e));
+                state.note_result(bi, !is_transport(&e), started.elapsed());
                 return;
             }
         }
@@ -1268,6 +1348,7 @@ fn repair_backend(
         if bound.is_some_and(|id| have_ids.contains(&id)) {
             continue;
         }
+        let started = Instant::now();
         match rebind(
             state,
             &mut client,
@@ -1278,14 +1359,46 @@ fn repair_backend(
             &events,
         ) {
             Ok(_) => {
-                state.metrics.record_rebind_avoided();
-                state.note_result(bi, true);
+                state.metrics.add("rebinds_avoided", 1);
+                state.note_result(bi, true, started.elapsed());
             }
             Err(e) => {
-                state.note_result(bi, !is_transport(&e));
+                state.note_result(bi, !is_transport(&e), started.elapsed());
                 return;
             }
         }
     }
     state.checkin(bi, client);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_rows_track_calls_latency_and_ejection() {
+        let backends = [Backend::new("127.0.0.1:1", 1), Backend::new("127.0.0.1:2", 1)];
+        assert!(!backends[0].note(true, Duration::from_micros(100)));
+        // One failure ejects (eject_after = 1); the next success restores.
+        assert!(backends[1].note(false, Duration::from_micros(5000)));
+        let rows = backend_rows(&backends);
+        let rows = rows.as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("addr").and_then(Json::as_str), Some("127.0.0.1:1"));
+        assert_eq!(rows[1].get("requests").and_then(Json::as_usize), Some(1));
+        assert_eq!(rows[1].get("errors").and_then(Json::as_usize), Some(1));
+        assert_eq!(rows[1].get("ejections").and_then(Json::as_usize), Some(1));
+        assert_eq!(rows[1].get("live").and_then(Json::as_bool), Some(false));
+        let latency = rows[1].get("latency").unwrap();
+        assert_eq!(latency.get("count").and_then(Json::as_usize), Some(1));
+        assert_eq!(latency.get("max_us").and_then(Json::as_usize), Some(5000));
+        assert!(!backends[1].note(true, Duration::from_micros(10)));
+        let rows = backend_rows(&backends);
+        let row = &rows.as_arr().unwrap()[1];
+        assert_eq!(row.get("live").and_then(Json::as_bool), Some(true));
+        assert_eq!(row.get("requests").and_then(Json::as_usize), Some(2));
+        assert_eq!(row.get("ejections").and_then(Json::as_usize), Some(1));
+        let hist = PowHistogram::from_wire_json(row.get("latency").unwrap().get("hist").unwrap());
+        assert_eq!(hist.unwrap().count(), 2);
+    }
 }

@@ -18,9 +18,10 @@ use folearn_hardness::reduction::{model_check_via_erm, ReductionReport};
 use folearn_logic::parse;
 use folearn_server::{
     start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi, ClientConfig,
-    ClientError, Direction, FaultKind, Request, Response, RetryPolicy, ServerConfig,
+    ClientError, Direction, FaultKind, Json, Request, Response, RetryPolicy, ServerConfig,
     ServerHandle, SolverSpec, WireExample,
 };
+use folearn_obs::PowHistogram;
 
 fn colored_path(n: usize, stride: usize) -> Graph {
     let g = generators::path(n, Vocabulary::new(["Red"]));
@@ -467,6 +468,275 @@ fn evaluate_rebinds_after_the_learning_backend_dies() {
         .evaluate(structure, hyp, tuples, None)
         .expect("evaluate after backend death");
     assert_eq!(before, after, "rebound hypothesis predicts differently");
+
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------
+// the `stats` payload contract
+// ---------------------------------------------------------------------
+
+/// The JSON type name of `v`, as the shape list spells it.
+fn json_type(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null",
+        Json::Bool(_) => "bool",
+        Json::Num(_) => "num",
+        Json::Str(_) => "str",
+        Json::Arr(_) => "arr",
+        Json::Obj(_) => "obj",
+    }
+}
+
+/// Every key path of `v` with its JSON type, in render order. Keys are
+/// joined with `/` (span names contain dots); the elements of an array
+/// share the path `<key>[]`, and a path seen twice is kept once.
+fn key_paths(v: &Json, path: &str, out: &mut Vec<String>) {
+    let line = format!("{path} {}", json_type(v));
+    if !out.contains(&line) {
+        out.push(line);
+    }
+    match v {
+        Json::Obj(pairs) => {
+            for (k, child) in pairs {
+                key_paths(child, &format!("{path}/{k}"), out);
+            }
+        }
+        Json::Arr(items) => {
+            for child in items {
+                key_paths(child, &format!("{path}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The number at `path` (0 when absent).
+fn num_at(v: &Json, path: &[&str]) -> usize {
+    path.iter()
+        .try_fold(v, |v, k| v.get(k))
+        .and_then(Json::as_usize)
+        .unwrap_or(0)
+}
+
+/// Send raw bytes on a fresh connection and return everything the
+/// daemon writes back before it closes the connection.
+fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(bytes).expect("write");
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).expect("read to EOF");
+    reply
+}
+
+/// The fixed script the contract test drives through one front door:
+/// register, a cold solve, a warm solve, evaluate, modelcheck, one
+/// oversize frame, then `stats`.
+fn stats_after_script(addr: std::net::SocketAddr, max_line_bytes: usize) -> Json {
+    let mut c = Client::connect(addr).expect("client connects");
+    let g = colored_path(8, 4);
+    let structure = c.register(&io::to_text(&g)).expect("register");
+    let examples = vec![
+        WireExample {
+            tuple: vec![0],
+            label: false,
+        },
+        WireExample {
+            tuple: vec![4],
+            label: true,
+        },
+    ];
+    // One sweep thread: the span rollup's nonzero counters must not
+    // depend on scheduling.
+    let solver = SolverSpec::Brute {
+        mode: folearn::TypeMode::Global,
+        threads: Some(1),
+        prune: true,
+        engine: folearn_logic::vm::EvalEngine::TreeWalk,
+    };
+    let cold = c
+        .solve(structure, examples.clone(), 1, 0, 0.25, solver.clone())
+        .expect("cold solve");
+    assert!(!cold.cached);
+    let warm = c
+        .solve(structure, examples, 1, 0, 0.25, solver)
+        .expect("warm solve");
+    assert!(warm.cached);
+    c.evaluate(structure, cold.hypothesis.id, vec![vec![0], vec![4]], None)
+        .expect("evaluate");
+    assert!(c.modelcheck(structure, "exists x0. Red(x0)").expect("modelcheck"));
+    // The close is counted before the error reply is written, so reading
+    // the reply orders it before the `stats` below.
+    let reply = raw_exchange(addr, &vec![b'a'; 2 * max_line_bytes]);
+    assert!(reply.contains("exceeds"), "{reply:?}");
+    c.stats().expect("stats")
+}
+
+#[test]
+fn stats_payload_keeps_its_shape_and_deterministic_counts() {
+    const MAX_LINE: usize = 4096;
+    let data_dir = std::env::temp_dir().join(format!("folearn-stats-shape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let server = start_server(&ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        max_line_bytes: MAX_LINE,
+        ..ServerConfig::default()
+    })
+    .expect("durable server starts");
+    let (addrs, by_addr) = spawn_backends(2);
+    // No hedging and no background repair: every count below is fixed
+    // by the script alone.
+    let router = start_router(&RouterConfig {
+        backends: addrs,
+        replicas: 2,
+        hedge_delay: None,
+        repair_interval: None,
+        max_line_bytes: MAX_LINE,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let server_stats = stats_after_script(server.addr(), MAX_LINE);
+    let mut router_stats = stats_after_script(router.addr(), MAX_LINE);
+    let cluster = match &mut router_stats {
+        Json::Obj(pairs) => {
+            let at = pairs.iter().position(|(k, _)| k == "cluster").expect("cluster object");
+            pairs.remove(at).1
+        }
+        _ => panic!("stats is an object"),
+    };
+
+    let mut actual = Vec::new();
+    for (daemon, stats) in [("server", &server_stats), ("router", &router_stats), ("cluster", &cluster)] {
+        key_paths(stats, daemon, &mut actual);
+    }
+    let expected: Vec<&str> = include_str!("stats_shape.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert!(
+        actual.iter().map(String::as_str).eq(expected.iter().copied()),
+        "stats shape changed; the paths now rendered are:\n{}",
+        actual.join("\n")
+    );
+
+    // Deterministic counts: requests per endpoint, cache, WAL, and the
+    // router's per-backend calls (its fan-in runs after its snapshot).
+    for stats in [&server_stats, &router_stats, &cluster] {
+        for (op, n) in [("solve", 2), ("evaluate", 1), ("modelcheck", 1)] {
+            assert_eq!(num_at(stats, &["endpoints", op, "count"]), n, "{op}");
+        }
+    }
+    assert_eq!(num_at(&server_stats, &["endpoints", "register", "count"]), 1);
+    assert_eq!(num_at(&router_stats, &["endpoints", "register", "count"]), 1);
+    assert_eq!(num_at(&cluster, &["endpoints", "register", "count"]), 2);
+    for stats in [&server_stats, &cluster] {
+        assert_eq!(num_at(stats, &["cache", "hits"]), 1);
+        assert_eq!(num_at(stats, &["cache", "misses"]), 1);
+    }
+    for stats in [&server_stats, &cluster] {
+        let rate = stats.get("cache").and_then(|c| c.get("hit_rate"));
+        assert_eq!(rate.and_then(Json::as_num), Some(0.5));
+    }
+    assert_eq!(server_stats.get("durable").and_then(Json::as_bool), Some(true));
+    assert_eq!(num_at(&server_stats, &["wal_records_written"]), 2);
+    let mut per_backend: Vec<usize> = router_stats
+        .get("backends")
+        .and_then(Json::as_arr)
+        .expect("backend rows")
+        .iter()
+        .map(|row| num_at(row, &["requests"]))
+        .collect();
+    per_backend.sort_unstable();
+    assert_eq!(per_backend, [1, 5], "register on both replicas, reads on the primary");
+
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn router_counts_its_front_door_connection_lifecycle() {
+    const MAX_LINE: usize = 4096;
+    // The replies are the backend daemon's, byte for byte: counting
+    // the closes must not change what a client sees.
+    const OVERSIZE_REPLY: &str = "{\"resp\": \"error\", \"message\": \"malformed request: line exceeds 4096 bytes\", \"code\": null}\n";
+    const OVER_LIMIT_REPLY: &str = "{\"resp\": \"pong\"}\n{\"resp\": \"pong\"}\n{\"resp\": \"pong\"}\n{\"resp\": \"bye\", \"reason\": \"request limit\"}\n";
+    let (addrs, by_addr) = spawn_backends(1);
+    let router = start_router(&RouterConfig {
+        backends: addrs,
+        replicas: 1,
+        repair_interval: None,
+        max_line_bytes: MAX_LINE,
+        max_requests_per_conn: 3,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    // One oversize frame, then four pings against a budget of three.
+    let oversize = raw_exchange(router.addr(), &vec![b'a'; 2 * MAX_LINE]);
+    let over_limit = raw_exchange(router.addr(), "{\"op\":\"ping\"}\n".repeat(4).as_bytes());
+    assert_eq!(oversize, OVERSIZE_REPLY);
+    assert_eq!(over_limit, OVER_LIMIT_REPLY);
+
+    let stats = Client::connect(router.addr())
+        .expect("client connects")
+        .stats()
+        .expect("stats");
+    assert_eq!(num_at(&stats, &["oversize_closes"]), 1);
+    assert_eq!(num_at(&stats, &["over_limit_closes"]), 1);
+    assert_eq!(num_at(&stats, &["idle_closes"]), 0);
+    assert_eq!(num_at(&stats, &["truncated_frames"]), 0);
+    assert_eq!(num_at(&stats, &["connections"]), 3);
+
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn router_rows_carry_histograms_that_match_their_counts() {
+    let (addrs, by_addr) = spawn_backends(2);
+    let router = router_over(addrs, 2);
+    let mut c = Client::connect(router.addr()).expect("client connects");
+    let structure = c.register(&io::to_text(&colored_path(8, 4))).expect("register");
+    let examples = vec![WireExample {
+        tuple: vec![4],
+        label: true,
+    }];
+    for _ in 0..3 {
+        c.solve(structure, examples.clone(), 1, 0, 0.25, SolverSpec::default_brute())
+            .expect("solve");
+    }
+    let stats = c.stats().expect("stats");
+
+    // Front-door endpoint rows carry `hist`, so router latency merges
+    // exactly, like a backend's.
+    let solve = stats.get("endpoints").and_then(|e| e.get("solve")).expect("solve row");
+    let hist = PowHistogram::from_wire_json(solve.get("hist").expect("hist")).expect("wire form");
+    assert_eq!(hist.count() as usize, num_at(solve, &["count"]));
+    assert_eq!(hist.count(), 3);
+
+    // Every backend call is timed: each row's latency histogram counts
+    // exactly its requests.
+    let rows = stats.get("backends").and_then(Json::as_arr).expect("backend rows");
+    assert_eq!(rows.len(), 2);
+    for row in rows {
+        let latency = row.get("latency").expect("latency block");
+        let hist = PowHistogram::from_wire_json(latency.get("hist").expect("hist")).expect("wire form");
+        assert_eq!(hist.count() as usize, num_at(row, &["requests"]), "{row:?}");
+        assert_eq!(num_at(latency, &["count"]), num_at(row, &["requests"]));
+    }
+    assert!(rows.iter().map(|r| num_at(r, &["requests"])).sum::<usize>() >= 5);
 
     router.shutdown();
     for (_, h) in by_addr {

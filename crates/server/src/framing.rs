@@ -49,6 +49,19 @@ pub enum ConnEvent {
     OverLimitClose,
 }
 
+impl ConnEvent {
+    /// The `stats` counter this event increments — the one place a
+    /// lifecycle event is mapped to its name, for every daemon.
+    pub fn name(self) -> &'static str {
+        match self {
+            ConnEvent::TruncatedFrame => "truncated_frames",
+            ConnEvent::OversizeClose => "oversize_closes",
+            ConnEvent::IdleClose => "idle_closes",
+            ConnEvent::OverLimitClose => "over_limit_closes",
+        }
+    }
+}
+
 /// How the framing loop ended for one request line.
 enum Framing {
     /// A complete newline-terminated frame is in the buffer.

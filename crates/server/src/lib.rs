@@ -25,8 +25,8 @@
 //! * [`chaos`] — a deterministic fault-injection proxy (drop / delay /
 //!   truncate / garble / reset frames under a seeded RNG; experiment
 //!   E19);
-//! * [`cache`], [`metrics`], [`pool`] — the daemon's moving parts,
-//!   exposed for reuse and testing;
+//! * [`cache`], [`pool`] — the daemon's moving parts, exposed for
+//!   reuse and testing (its metrics are a [`folearn_obs::Registry`]);
 //! * [`loadgen`] — a deterministic load generator (experiment E17 and
 //!   the `folearn loadgen` subcommand).
 //!
@@ -50,7 +50,6 @@ pub mod client;
 pub mod event_loop;
 pub mod framing;
 pub mod loadgen;
-pub mod metrics;
 pub mod pool;
 pub mod proto;
 pub mod server;

@@ -62,13 +62,13 @@ use folearn::{solve_fo_erm_with_engine, Hypothesis, SharedArena, Solver};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::parser;
 use folearn_logic::vm::EvalEngine;
+use folearn_obs::Registry;
 use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
 use crate::cache::{ShardedCache, ShardedMap};
 use crate::event_loop::{self, Dispatch, EventHandler, EventLoopOptions, Responder, ShardHandle};
 use crate::framing::{self, ConnEvent, ConnLimits};
-use crate::metrics::Metrics;
 use crate::pool::{Job, TrySubmit, WorkerPool};
 use crate::proto::{
     fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
@@ -80,6 +80,40 @@ use crate::snapshot::{Durability, DurableRecord, DEFAULT_SNAPSHOT_EVERY};
 /// `--threads 999999` must fail with a protocol error, not abort the
 /// daemon trying to spawn a million OS threads.
 pub const MAX_SOLVER_THREADS: usize = 256;
+
+/// The `stats` layout: every slot in render order (see
+/// [`Registry::new`]). `core`, `durable` and `cache.hit_rate` are
+/// rendered by [`handle_stats`]; the rest are counters and gauges.
+const STATS_LAYOUT: &[&str] = &[
+    "connections",
+    "over_limit_closes",
+    "idle_closes",
+    "oversize_closes",
+    "truncated_frames",
+    "rejected_connections",
+    "worker_panics",
+    "core",
+    "event_loops",
+    "structures",
+    "hypotheses",
+    "durable",
+    "wal_records_written",
+    "wal_records_replayed",
+    "snapshot_loads",
+    "torn_tail_truncations",
+    "recovery_ms",
+    "cache.hits",
+    "cache.misses",
+    "cache.evictions",
+    "cache.entries",
+    "cache.shards",
+    "cache.hit_rate",
+    "solver.evaluated_params",
+    "solver.pruned_params",
+    "endpoints",
+    "spans",
+    "series",
+];
 
 /// Which service core drives connections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,7 +237,7 @@ struct State {
     /// responder here instead of recomputing; the running job fans its
     /// outcome out to every waiter when it completes.
     inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
-    metrics: Metrics,
+    metrics: Registry,
     shutdown: AtomicBool,
     /// Event core only: one handle per shard, so a shutdown request
     /// reaches shards blocked in `epoll_wait`.
@@ -216,6 +250,9 @@ struct State {
     /// `None` throughout startup replay, so replayed mutations are
     /// never re-appended to the log they came from.
     durable: Mutex<Option<Durability>>,
+    /// Whether the daemon runs with a data dir (`stats`' `durable`
+    /// flag; read without waiting on a WAL append's lock).
+    is_durable: bool,
 }
 
 impl State {
@@ -236,14 +273,6 @@ impl State {
                     Arc::new(Mutex::new(TypeArena::new(Arc::clone(g.vocab()))))
                 }),
         )
-    }
-
-    fn sync_gauges(&self) {
-        let (hits, misses, evictions) = self.cache.counters();
-        self.metrics
-            .set_cache_counters(hits, misses, evictions, self.cache.len());
-        self.metrics
-            .set_store_sizes(self.graphs.len(), self.hypotheses.len());
     }
 
     fn limits(&self) -> ConnLimits {
@@ -272,7 +301,7 @@ impl State {
         let mut durable = self.durable.lock();
         if let Some(d) = durable.as_mut() {
             match d.append(record) {
-                Ok(_compacted) => self.metrics.record_wal_append(),
+                Ok(_compacted) => self.metrics.add("wal_records_written", 1),
                 Err(e) => eprintln!("folearn-server: WAL append failed: {e}"),
             }
         }
@@ -388,7 +417,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         next_hypothesis: AtomicU64::new(1),
         cache: ShardedCache::new(config.cache_capacity, shards),
         inflight: Mutex::new(HashMap::new()),
-        metrics: Metrics::new(),
+        metrics: Registry::new("server", STATS_LAYOUT),
         shutdown: AtomicBool::new(false),
         shards: OnceLock::new(),
         addr,
@@ -396,7 +425,11 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         max_line_bytes: config.max_line_bytes.max(1),
         idle_timeout: config.idle_timeout,
         durable: Mutex::new(None),
+        is_durable: config.data_dir.is_some(),
     });
+    state
+        .metrics
+        .set("cache.shards", state.cache.num_shards() as u64);
     if let Some(dir) = &config.data_dir {
         let every = if config.snapshot_every == 0 {
             DEFAULT_SNAPSHOT_EVERY
@@ -408,10 +441,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     let pool = Arc::new(WorkerPool::new(config.workers, config.queue_depth));
     let max_connections = config.max_connections.max(1);
     match config.core {
-        CoreMode::Threaded => {
-            state.metrics.set_core_info("thread", 0, state.cache.num_shards());
-            start_threaded(listener, state, pool, max_connections)
-        }
+        CoreMode::Threaded => start_threaded(listener, state, pool, max_connections),
         CoreMode::EventLoop => start_event(config, listener, state, pool, max_connections),
     }
 }
@@ -472,13 +502,16 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
     state
         .next_hypothesis
         .store(max_id.saturating_add(1).max(1), Ordering::SeqCst);
-    state.metrics.set_recovery(
-        stats.records_replayed(),
-        stats.snapshot_loads,
-        stats.torn_tail_truncations,
-        started.elapsed().as_millis() as u64,
-    );
-    state.sync_gauges();
+    state
+        .metrics
+        .set("wal_records_replayed", stats.records_replayed());
+    state.metrics.set("snapshot_loads", stats.snapshot_loads);
+    state
+        .metrics
+        .set("torn_tail_truncations", stats.torn_tail_truncations);
+    state
+        .metrics
+        .set("recovery_ms", started.elapsed().as_millis() as u64);
     *state.durable.lock() = Some(durability);
     Ok(())
 }
@@ -513,7 +546,7 @@ fn start_threaded(
                         conns.len() < max_connections
                     };
                     if !admitted {
-                        state.metrics.record_rejected_connection();
+                        state.metrics.add("rejected_connections", 1);
                         let _ = framing::write_response(
                             &mut stream,
                             &Response::Bye {
@@ -522,7 +555,7 @@ fn start_threaded(
                         );
                         continue;
                     }
-                    state.metrics.record_connection();
+                    state.metrics.add("connections", 1);
                     let conn_state = Arc::clone(&state);
                     let conn_pool = Arc::clone(&pool);
                     // Keep a reply handle: if the spawn below fails
@@ -537,7 +570,7 @@ fn start_threaded(
                     match spawned {
                         Ok(handle) => connections.lock().push(handle),
                         Err(_) => {
-                            state.metrics.record_rejected_connection();
+                            state.metrics.add("rejected_connections", 1);
                             if let Some(mut s) = reply {
                                 let _ = framing::write_response(
                                     &mut s,
@@ -576,9 +609,7 @@ fn start_event(
     } else {
         config.event_loops
     };
-    state
-        .metrics
-        .set_core_info("event", num_loops, state.cache.num_shards());
+    state.metrics.set("event_loops", num_loops as u64);
     let opts = EventLoopOptions {
         limits: state.limits(),
         max_inflight_per_conn: config.max_inflight_per_conn.max(1),
@@ -620,7 +651,7 @@ fn start_event(
                     }
                     let Ok(mut stream) = incoming else { continue };
                     if live.load(Ordering::SeqCst) >= max_connections {
-                        state.metrics.record_rejected_connection();
+                        state.metrics.add("rejected_connections", 1);
                         let _ = framing::write_response(
                             &mut stream,
                             &Response::Bye {
@@ -629,7 +660,7 @@ fn start_event(
                         );
                         continue;
                     }
-                    state.metrics.record_connection();
+                    state.metrics.add("connections", 1);
                     live.fetch_add(1, Ordering::SeqCst);
                     let shard = next % handles.len();
                     next = next.wrapping_add(1);
@@ -637,7 +668,7 @@ fn start_event(
                         // The shard is gone (only plausible during
                         // shutdown): degrade with a reply, not a panic.
                         live.fetch_sub(1, Ordering::SeqCst);
-                        state.metrics.record_rejected_connection();
+                        state.metrics.add("rejected_connections", 1);
                         let _ = framing::write_response(
                             &mut stream,
                             &Response::error("server overloaded: event loop unavailable"),
@@ -665,19 +696,10 @@ fn serve_connection(state: &Arc<State>, pool: &Arc<WorkerPool>, stream: TcpStrea
         &state.shutdown,
         |req| handle_request(state, pool, req),
         |op, us, ok| state.metrics.record_request(op, us, ok),
-        |ev| record_conn_event(state, ev),
+        |ev| state.metrics.add(ev.name(), 1),
     );
     if wants_shutdown {
         state.request_shutdown();
-    }
-}
-
-fn record_conn_event(state: &State, ev: ConnEvent) {
-    match ev {
-        ConnEvent::TruncatedFrame => state.metrics.record_truncated_frame(),
-        ConnEvent::OversizeClose => state.metrics.record_oversize_close(),
-        ConnEvent::IdleClose => state.metrics.record_idle_close(),
-        ConnEvent::OverLimitClose => state.metrics.record_over_limit(),
     }
 }
 
@@ -804,12 +826,12 @@ impl EventHandler for ServerDispatch {
                         let mut inflight = self.state.inflight.lock();
                         if let Some(waiters) = inflight.get_mut(&key) {
                             waiters.push(responder);
-                            self.state.metrics.record_cache_event(true);
+                            self.state.metrics.series(|s| s.record_cache(true));
                             return Dispatch::Accepted;
                         }
                         inflight.insert(key, Vec::new());
                     }
-                    self.state.metrics.record_cache_event(false);
+                    self.state.metrics.series(|s| s.record_cache(false));
                     let guard = InflightGuard {
                         state: Arc::clone(&self.state),
                         key,
@@ -823,7 +845,7 @@ impl EventHandler for ServerDispatch {
                                 replay.cached = true;
                                 replay.trace =
                                     replay.trace.map(|t| stamp_replay(t, Duration::ZERO));
-                                state.metrics.record_cache_event(true);
+                                state.metrics.series(|s| s.record_cache(true));
                                 waiter.complete(Response::Solved(replay));
                             }
                         } else {
@@ -880,7 +902,7 @@ impl EventHandler for ServerDispatch {
     }
 
     fn conn_event(&self, ev: ConnEvent) {
-        record_conn_event(&self.state, ev);
+        self.state.metrics.add(ev.name(), 1);
     }
 
     fn wants_shutdown(&self) {
@@ -918,7 +940,7 @@ fn handle_request(state: &Arc<State>, pool: &Arc<WorkerPool>, req: Request) -> R
         } => match plan_solve(state, structure, &examples, ell, q, epsilon, &solver, trace, true) {
             Err(response) => response,
             Ok(job) => {
-                state.metrics.record_cache_event(false);
+                state.metrics.series(|s| s.record_cache(false));
                 let state = Arc::clone(state);
                 match on_pool(pool, move || run_solve(&state, job)) {
                     Ok(response) => response,
@@ -957,10 +979,32 @@ fn handle_request(state: &Arc<State>, pool: &Arc<WorkerPool>, req: Request) -> R
 }
 
 fn handle_stats(state: &Arc<State>, pool: &Arc<WorkerPool>) -> Response {
-    state.sync_gauges();
-    state.metrics.set_worker_panics(pool.panic_count());
+    let metrics = &state.metrics;
+    let (hits, misses, evictions) = state.cache.counters();
+    metrics.set("cache.hits", hits);
+    metrics.set("cache.misses", misses);
+    metrics.set("cache.evictions", evictions);
+    metrics.set("cache.entries", state.cache.len() as u64);
+    metrics.set("structures", state.graphs.len() as u64);
+    metrics.set("hypotheses", state.hypotheses.len() as u64);
+    metrics.set("worker_panics", pool.panic_count());
+    let lookups = hits + misses;
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    };
+    let core = if state.shards.get().is_some() {
+        "event"
+    } else {
+        "thread"
+    };
     Response::Stats {
-        data: state.metrics.snapshot(),
+        data: metrics.snapshot(vec![
+            ("core", Json::str(core)),
+            ("durable", Json::Bool(state.is_durable)),
+            ("cache.hit_rate", Json::Num(hit_rate)),
+        ]),
     }
 }
 
@@ -1170,7 +1214,7 @@ fn plan_solve(
             outcome.trace = outcome
                 .trace
                 .map(|t| stamp_replay(t, captured_at.elapsed()));
-            state.metrics.record_cache_event(true);
+            state.metrics.series(|s| s.record_cache(true));
             return Err(Response::Solved(outcome));
         }
     }
@@ -1281,7 +1325,10 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
     });
     state
         .metrics
-        .record_solver_work(report.evaluated_params, report.pruned_params);
+        .add("solver.evaluated_params", report.evaluated_params as u64);
+    state
+        .metrics
+        .add("solver.pruned_params", report.pruned_params as u64);
     let trace = sp.finish().map(|rec| {
         state.metrics.absorb_span(&rec);
         folearn_obs::export::span_to_json(&rec)

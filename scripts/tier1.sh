@@ -126,7 +126,10 @@ RADDR=$(cat "$SMOKE/router.addr")
 "$FOLEARN" client --addr "$RADDR" --action solve --graph "$SMOKE/graph.txt" \
     --examples "$SMOKE/sample.txt" --ell 1 --q 1 --retries 4 > "$SMOKE/routed.txt"
 grep -q 'training error:  0.0000' "$SMOKE/routed.txt"
-"$FOLEARN" client --addr "$RADDR" --action stats | grep -q '"router"'
+"$FOLEARN" client --addr "$RADDR" --action stats > "$SMOKE/router-stats.txt"
+grep -q '"router"' "$SMOKE/router-stats.txt"
+# The router counts its own front-door connection lifecycle.
+grep -q '"oversize_closes"' "$SMOKE/router-stats.txt"
 
 # --- cluster observability smoke ------------------------------------------
 # An opted-in solve (--trace-out attaches a trace context) must come back
@@ -147,6 +150,8 @@ grep -q 'server.solve' "$SMOKE/rendered.txt"
 grep -q 'folearn top — router' "$SMOKE/top.txt"
 grep -q 'cluster:' "$SMOKE/top.txt"
 grep -q '3 backends, 3 live' "$SMOKE/top.txt"
+# Each live backend row carries the router's timing of its calls to it.
+grep -Eq 'requests, calls p50 [0-9]+µs p99 [0-9]+µs' "$SMOKE/top.txt"
 
 # Kill one backend; a fresh structure must still learn through the
 # surviving replicas (the router retries and fails over internally).

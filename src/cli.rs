@@ -897,9 +897,29 @@ fn render_top(addr: &str, stats: &Json) -> String {
                                 jnum(n, "wal_records_replayed") as u64,
                             );
                         }
+                        // The router's own timing of its calls to this
+                        // backend, from its `backends` row.
+                        let mut latency = String::new();
+                        if let Some(l) = stats
+                            .get("backends")
+                            .and_then(Json::as_arr)
+                            .and_then(|rows| {
+                                rows.iter().find(|r| {
+                                    r.get("addr").and_then(Json::as_str) == Some(node_addr)
+                                })
+                            })
+                            .and_then(|r| r.get("latency"))
+                        {
+                            let _ = write!(
+                                latency,
+                                ", calls p50 {}µs p99 {}µs",
+                                jnum(l, "p50_us") as u64,
+                                jnum(l, "p99_us") as u64,
+                            );
+                        }
                         let _ = writeln!(
                             out,
-                            "  {node_addr:<21} {}  {} v{}, up {}s, {} requests{recovery}",
+                            "  {node_addr:<21} {}  {} v{}, up {}s, {} requests{latency}{recovery}",
                             if n.get("live").and_then(Json::as_bool) == Some(true) {
                                 "live"
                             } else {
@@ -1454,7 +1474,7 @@ mod tests {
         assert!(!render_top("127.0.0.1:1", &volatile).contains("durable:"));
 
         let router = Json::parse(
-            r#"{"role":"router","version":"0.1","uptime_ms":500,"requests":9,"failovers":1,"repairs_performed":2,"rebinds_avoided":1,"cluster":{"backends_total":1,"backends_live":1,"backends_reporting":1,"requests":7,"nodes":[{"addr":"127.0.0.1:2","live":true,"role":"server","version":"0.1","uptime_ms":900,"requests":7,"durable":true,"wal_records_replayed":3}]}}"#,
+            r#"{"role":"router","version":"0.1","uptime_ms":500,"requests":9,"failovers":1,"repairs_performed":2,"rebinds_avoided":1,"backends":[{"addr":"127.0.0.1:2","requests":7,"latency":{"count":7,"p50_us":256,"p99_us":2048}}],"cluster":{"backends_total":1,"backends_live":1,"backends_reporting":1,"requests":7,"nodes":[{"addr":"127.0.0.1:2","live":true,"role":"server","version":"0.1","uptime_ms":900,"requests":7,"durable":true,"wal_records_replayed":3}]}}"#,
         )
         .unwrap();
         let frame = render_top("127.0.0.1:1", &router);
@@ -1463,6 +1483,10 @@ mod tests {
             "{frame}"
         );
         assert!(frame.contains(", durable (3 replayed)"), "{frame}");
+        assert!(
+            frame.contains("7 requests, calls p50 256µs p99 2048µs, durable"),
+            "{frame}"
+        );
     }
 
     #[test]
