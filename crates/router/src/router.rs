@@ -1,9 +1,16 @@
 //! The router daemon: front-door listener, placement, hedged fan-out,
 //! and failover.
 //!
-//! The front door runs the exact framing loop of the backend daemon
-//! ([`folearn_server::framing`]), so to any client the router *is* a
-//! `folearn serve`. Behind it:
+//! The front door runs the backend daemon's connection core
+//! ([`folearn_server::event_loop`]) with the same limits and lifecycle
+//! replies, so to any client the router *is* a `folearn serve`. The
+//! loop answers `ping`, `shutdown` and `inventory` itself; every other
+//! request blocks on backends, so it runs as a job on an
+//! [`ElasticPool`], as does each backend attempt of a hedged call — no
+//! OS thread is spawned per connection or per backend call. Router
+//! connections are request/reply (one request in flight each), so a
+//! pipelined `register` → `solve` window takes effect in order. Behind
+//! the front door:
 //!
 //! * `register` is parsed locally, content-hashed, placed on the ring,
 //!   and forwarded to each of its `R` replicas; the ack lists the
@@ -34,8 +41,8 @@
 //!   every evaluate paying a lazy re-solve.
 
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,7 +51,11 @@ use std::time::{Duration, Instant};
 use folearn_graph::io;
 use folearn_obs::{latency_json, Counter, PowHistogram, Registry};
 use folearn_server::client::{ClientApi, ClientConfig, ClientError, RetryPolicy, RetryingClient};
-use folearn_server::framing::{self, ConnLimits};
+use folearn_server::event_loop::{
+    auto_loops, Dispatch, EventCore, EventHandler, EventLoopOptions, Responder, Shutdown,
+};
+use folearn_server::framing::{ConnEvent, ConnLimits};
+use folearn_server::pool::{reply_or_panic, ElasticPool, Job};
 use folearn_server::proto::{
     fnv1a64, hex64, Json, Request, Response, TraceContext, WireBinding, WireProvenance,
 };
@@ -57,6 +68,12 @@ use crate::ring::{HashRing, DEFAULT_VNODES};
 /// Idle pooled connections kept per backend; excess checkins are
 /// dropped (closing the socket).
 const POOL_KEEP: usize = 8;
+
+/// Requests one front-door connection may have in flight: router
+/// connections are request/reply, so a pipelined window keeps its
+/// per-connection order of effects (a `solve` never overtakes the
+/// `register` before it).
+const MAX_INFLIGHT_PER_CONN: usize = 1;
 
 /// The `stats` layout: every slot in render order (see
 /// [`Registry::new`]). `backends` is rendered by [`backend_rows`]; the
@@ -228,9 +245,9 @@ struct RouterState {
     next_trace: AtomicU64,
     trace_enabled: bool,
     metrics: Registry,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-    limits: ConnLimits,
+    shutdown: Arc<Shutdown>,
+    /// Runs front-door jobs and every backend attempt.
+    pool: ElasticPool,
 }
 
 impl RouterState {
@@ -291,12 +308,6 @@ impl RouterState {
     fn next_trace_id(&self) -> u64 {
         self.next_trace.fetch_add(1, Ordering::SeqCst)
     }
-
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the acceptor so a blocking accept() observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
 }
 
 /// A running router. Call [`RouterHandle::shutdown`] or
@@ -304,9 +315,8 @@ impl RouterState {
 pub struct RouterHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
-    acceptor: Option<JoinHandle<()>>,
+    core: EventCore,
     repair: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl RouterHandle {
@@ -318,7 +328,7 @@ impl RouterHandle {
     /// Ask the router to stop, then wait for all threads. Backends are
     /// *not* shut down — they are independent daemons.
     pub fn shutdown(mut self) {
-        self.state.request_shutdown();
+        self.state.shutdown.request();
         self.join_all();
     }
 
@@ -328,22 +338,11 @@ impl RouterHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // The acceptor only exits once shutdown is flagged, so the
-        // repair loop is already on its way out (≤50ms poll).
+        self.core.join();
+        // The core only exits once shutdown is flagged, so the repair
+        // loop is already on its way out (≤50ms poll).
         if let Some(repair) = self.repair.take() {
             let _ = repair.join();
-        }
-        loop {
-            let handle = self.connections.lock().pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
         }
     }
 }
@@ -377,70 +376,28 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
         metrics: Registry::new("router", STATS_LAYOUT),
-        shutdown: AtomicBool::new(false),
-        addr,
+        shutdown: Arc::default(),
+        pool: ElasticPool::new("folearn-router-call"),
+    });
+    let opts = EventLoopOptions {
         limits: ConnLimits {
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             max_line_bytes: config.max_line_bytes.max(1),
             idle_timeout: config.idle_timeout,
         },
-    });
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let max_connections = config.max_connections.max(1);
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let connections = Arc::clone(&connections);
-        std::thread::Builder::new()
-            .name("folearn-router-acceptor".to_string())
-            .spawn(move || {
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    let admitted = {
-                        let mut conns = connections.lock();
-                        conns.retain(|h| !h.is_finished());
-                        conns.len() < max_connections
-                    };
-                    if !admitted {
-                        state.metrics.add("rejected_connections", 1);
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    state.metrics.add("connections", 1);
-                    // Keep a reply handle: if the spawn fails (thread
-                    // limit, OOM) the stream has moved into the dropped
-                    // closure, and this clone lets the router degrade
-                    // with an error reply instead of panicking.
-                    let reply = stream.try_clone().ok();
-                    let conn_state = Arc::clone(&state);
-                    let spawned = std::thread::Builder::new()
-                        .name("folearn-router-conn".to_string())
-                        .spawn(move || serve_connection(&conn_state, stream));
-                    match spawned {
-                        Ok(handle) => connections.lock().push(handle),
-                        Err(_) => {
-                            state.metrics.add("rejected_connections", 1);
-                            if let Some(mut s) = reply {
-                                let _ = framing::write_response(
-                                    &mut s,
-                                    &Response::error(
-                                        "router overloaded: cannot spawn connection thread",
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            })?
+        max_inflight_per_conn: MAX_INFLIGHT_PER_CONN,
     };
+    let core = EventCore::start(
+        "folearn-router",
+        listener,
+        Arc::new(RouterDispatch {
+            state: Arc::clone(&state),
+        }),
+        opts,
+        auto_loops(0),
+        config.max_connections.max(1),
+        &state.shutdown,
+    )?;
 
     let repair = match config.repair_interval {
         Some(interval) => {
@@ -449,7 +406,7 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
                 std::thread::Builder::new()
                     .name("folearn-router-repair".to_string())
                     .spawn(move || {
-                        run_probe_loop(&state.shutdown, interval, || repair_pass(&state));
+                        run_probe_loop(state.shutdown.flag(), interval, || repair_pass(&state));
                     })?,
             )
         }
@@ -459,23 +416,52 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
     Ok(RouterHandle {
         addr,
         state,
-        acceptor: Some(acceptor),
+        core,
         repair,
-        connections,
     })
 }
 
-fn serve_connection(state: &Arc<RouterState>, stream: TcpStream) {
-    let wants_shutdown = framing::serve_framed(
-        stream,
-        &state.limits,
-        &state.shutdown,
-        |req| handle_request(state, req),
-        |op, us, ok| state.metrics.record_request(op, us, ok),
-        |ev| state.metrics.add(ev.name(), 1),
-    );
-    if wants_shutdown {
-        state.request_shutdown();
+/// The router's event handler: `ping`, `shutdown` and `inventory` are
+/// answered on the loop thread; everything else waits on backends, so
+/// it runs as an [`ElasticPool`] job that completes the responder.
+struct RouterDispatch {
+    state: Arc<RouterState>,
+}
+
+impl EventHandler for RouterDispatch {
+    fn dispatch(&self, req: Request, responder: Responder) -> Dispatch {
+        if matches!(req, Request::Ping | Request::Shutdown | Request::Inventory) {
+            responder.complete(handle_request(&self.state, req));
+            return Dispatch::Accepted;
+        }
+        let state = Arc::clone(&self.state);
+        let panics = state.pool.panic_cell();
+        let job: Job = Box::new(move || {
+            let op = req.op();
+            responder.complete(reply_or_panic(op, &panics, || handle_request(&state, req)));
+        });
+        match self.state.pool.execute(job) {
+            Ok(()) => Dispatch::Accepted,
+            Err(job) => Dispatch::Busy(job),
+        }
+    }
+
+    /// A job whose thread could not be spawned is parked by the loop
+    /// and re-offered here.
+    fn retry(&self, job: Job) -> Result<(), Job> {
+        self.state.pool.execute(job)
+    }
+
+    fn observe(&self, op: &'static str, us: u64, ok: bool) {
+        self.state.metrics.record_request(op, us, ok);
+    }
+
+    fn conn_event(&self, ev: ConnEvent) {
+        self.state.metrics.add(ev.name(), 1);
+    }
+
+    fn wants_shutdown(&self) {
+        self.state.shutdown.request();
     }
 }
 
@@ -651,8 +637,9 @@ fn is_transport(e: &ClientError) -> bool {
 ///
 /// Rank 0 launches immediately. If no reply lands within the hedge
 /// delay, rank 1 launches as a *hedge*. Any transport failure launches
-/// the next unlaunched rank as a *failover*. First `Ok` wins; its
-/// laggards' sends fail silently once the receiver is dropped. Returns
+/// the next unlaunched rank as a *failover*. Every launch runs on the
+/// router's [`ElasticPool`]. First `Ok` wins; its laggards' sends fail
+/// silently once the receiver is dropped. Returns
 /// the pass-through error response if a replica rejected the request
 /// deterministically, or an `all replicas failed` error if the ladder
 /// is exhausted.
@@ -667,20 +654,23 @@ where
     let op = Arc::new(op);
     let (tx, rx) = mpsc::channel::<(usize, u64, Result<Response, ClientError>)>();
     let launch = |attempts: &mut Vec<Attempt>, rank: usize, kind: &'static str| {
-        let state = Arc::clone(state);
-        let op = Arc::clone(&op);
-        let tx = tx.clone();
         let bi = candidates[rank];
-        std::thread::Builder::new()
-            .name("folearn-router-call".to_string())
-            .spawn(move || {
+        let job: Job = {
+            let (state, op, tx) = (Arc::clone(state), Arc::clone(&op), tx.clone());
+            Box::new(move || {
                 let started = Instant::now();
                 let result = op(&state, bi);
                 // The receiver is gone once another replica won: the
                 // laggard's answer is discarded right here.
                 let _ = tx.send((rank, started.elapsed().as_nanos() as u64, result));
             })
-            .expect("spawn backend call thread");
+        };
+        if state.pool.execute(job).is_err() {
+            // No thread for this attempt: it fails like a dead link, so
+            // the ladder moves on to the next replica.
+            let spawn = std::io::Error::other("cannot spawn a backend call thread");
+            let _ = tx.send((rank, 0, Err(ClientError::Io(spawn))));
+        }
         attempts.push(Attempt {
             backend: bi,
             rank,
@@ -1254,23 +1244,23 @@ fn rebind(
 /// skipped without a strike — alive, just not repairable.
 fn repair_pass(state: &Arc<RouterState>) {
     // Snapshot the tables outside any backend I/O so a slow backend
-    // never holds the request path's locks.
-    let structures: Vec<(u64, StructureEntry)> = state
-        .structures
-        .lock()
-        .iter()
-        .map(|(&h, e)| (h, e.clone()))
-        .collect();
-    let hyps: Vec<(u64, u64, Request)> = state
+    // never holds the request path's locks: structures indexed by hash,
+    // and every hypothesis with its bindings, each under one lock.
+    let structures: HashMap<u64, StructureEntry> = state.structures.lock().clone();
+    let hyps: Vec<HypSnapshot> = state
         .hyps
         .lock()
         .iter()
-        .map(|(&id, b)| (id, b.structure, b.solve.clone()))
+        .map(|(&id, b)| (id, b.structure, b.bindings.clone()))
         .collect();
     for bi in 0..state.backends.len() {
         repair_backend(state, bi, &structures, &hyps);
     }
 }
+
+/// One hypothesis as a repair pass sees it: router id, structure, and
+/// backend index → backend-local id.
+type HypSnapshot = (u64, u64, HashMap<usize, u64>);
 
 /// Diff-and-repair one backend; see [`repair_pass`]. Stops at the first
 /// transport failure — the connection's state is unknown past it, and
@@ -1278,8 +1268,8 @@ fn repair_pass(state: &Arc<RouterState>) {
 fn repair_backend(
     state: &Arc<RouterState>,
     bi: usize,
-    structures: &[(u64, StructureEntry)],
-    hyps: &[(u64, u64, Request)],
+    structures: &HashMap<u64, StructureEntry>,
+    hyps: &[HypSnapshot],
 ) {
     let started = Instant::now();
     let mut client = match state.checkout(bi) {
@@ -1325,36 +1315,29 @@ fn repair_backend(
     }
 
     let events: EventLog = Arc::new(Mutex::new(Vec::new()));
-    for (router_id, structure, solve_req) in hyps {
-        let Some(entry) = structures
-            .iter()
-            .find(|(h, _)| h == structure)
-            .map(|(_, e)| e)
-        else {
+    for (router_id, structure, bindings) in hyps {
+        let Some(entry) = structures.get(structure) else {
             continue;
         };
         if !entry.replicas.contains(&bi) {
             continue;
         }
-        let bound = {
-            let tables = state.hyps.lock();
-            tables
-                .get(router_id)
-                .and_then(|b| b.bindings.get(&bi).copied())
-        };
         // A binding to a local id the backend still knows is healthy —
         // notably a durable backend that replayed its WAL keeps its
         // ids, so its bindings survive a restart untouched.
-        if bound.is_some_and(|id| have_ids.contains(&id)) {
+        if bindings.get(&bi).is_some_and(|id| have_ids.contains(id)) {
             continue;
         }
+        let Some(solve_req) = state.hyps.lock().get(router_id).map(|b| b.solve.clone()) else {
+            continue;
+        };
         let started = Instant::now();
         match rebind(
             state,
             &mut client,
             bi,
             *router_id,
-            solve_req,
+            &solve_req,
             &entry.graph_text,
             &events,
         ) {

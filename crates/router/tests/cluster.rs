@@ -670,6 +670,8 @@ fn router_counts_its_front_door_connection_lifecycle() {
     // the closes must not change what a client sees.
     const OVERSIZE_REPLY: &str = "{\"resp\": \"error\", \"message\": \"malformed request: line exceeds 4096 bytes\", \"code\": null}\n";
     const OVER_LIMIT_REPLY: &str = "{\"resp\": \"pong\"}\n{\"resp\": \"pong\"}\n{\"resp\": \"pong\"}\n{\"resp\": \"bye\", \"reason\": \"request limit\"}\n";
+    const TRUNCATED_REPLY: &str = "{\"resp\": \"error\", \"message\": \"malformed request: truncated frame (EOF before newline)\", \"code\": null}\n";
+    const IDLE_REPLY: &str = "{\"resp\": \"bye\", \"reason\": \"idle timeout\"}\n";
     let (addrs, by_addr) = spawn_backends(1);
     let router = start_router(&RouterConfig {
         backends: addrs,
@@ -677,6 +679,7 @@ fn router_counts_its_front_door_connection_lifecycle() {
         repair_interval: None,
         max_line_bytes: MAX_LINE,
         max_requests_per_conn: 3,
+        idle_timeout: Duration::from_millis(300),
         ..RouterConfig::default()
     })
     .expect("router starts");
@@ -686,6 +689,20 @@ fn router_counts_its_front_door_connection_lifecycle() {
     let over_limit = raw_exchange(router.addr(), "{\"op\":\"ping\"}\n".repeat(4).as_bytes());
     assert_eq!(oversize, OVERSIZE_REPLY);
     assert_eq!(over_limit, OVER_LIMIT_REPLY);
+    // A frame cut short by the peer's half-close, then a connection
+    // that says nothing at all.
+    let truncated = {
+        use std::io::{Read, Write};
+        let mut s = std::net::TcpStream::connect(router.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"{\"op\":\"ping\"}").expect("write");
+        s.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("read to EOF");
+        reply
+    };
+    assert_eq!(truncated, TRUNCATED_REPLY);
+    assert_eq!(raw_exchange(router.addr(), b""), IDLE_REPLY);
 
     let stats = Client::connect(router.addr())
         .expect("client connects")
@@ -693,9 +710,93 @@ fn router_counts_its_front_door_connection_lifecycle() {
         .expect("stats");
     assert_eq!(num_at(&stats, &["oversize_closes"]), 1);
     assert_eq!(num_at(&stats, &["over_limit_closes"]), 1);
-    assert_eq!(num_at(&stats, &["idle_closes"]), 0);
-    assert_eq!(num_at(&stats, &["truncated_frames"]), 0);
-    assert_eq!(num_at(&stats, &["connections"]), 3);
+    assert_eq!(num_at(&stats, &["idle_closes"]), 1);
+    assert_eq!(num_at(&stats, &["truncated_frames"]), 1);
+    assert_eq!(num_at(&stats, &["connections"]), 5);
+
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// A `register` → `solve` → `evaluate` window written to the router in
+/// one `write`: router connections are request/reply, so each request
+/// takes effect before the next is read, and the three replies come
+/// back correct and in order. The evaluate names the hypothesis id the
+/// solve will be given — the first id a fresh router assigns.
+#[test]
+fn pipelined_register_solve_evaluate_window_is_answered_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addrs, by_addr) = spawn_backends(2);
+    let router = router_over(addrs, 2);
+    let text = io::to_text(&colored_path(8, 4));
+    let structure = folearn_server::fnv1a64(text.as_bytes());
+    let examples = vec![
+        WireExample {
+            tuple: vec![0],
+            label: false,
+        },
+        WireExample {
+            tuple: vec![4],
+            label: true,
+        },
+    ];
+    let window = [
+        Request::Register { graph_text: text },
+        Request::Solve {
+            structure,
+            examples,
+            ell: 1,
+            q: 0,
+            epsilon: 0.25,
+            solver: SolverSpec::default_brute(),
+            trace: None,
+        },
+        Request::Evaluate {
+            structure,
+            hypothesis: 1,
+            tuples: vec![vec![0], vec![4]],
+            labels: Some(vec![false, true]),
+        },
+    ];
+    let blob: String = window.iter().map(|r| format!("{}\n", r.encode())).collect();
+    let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(blob.as_bytes()).expect("one write");
+    let mut reader = BufReader::new(stream);
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a reply");
+        Response::decode(line.trim_end()).expect("a protocol reply")
+    };
+    match reply() {
+        Response::Registered {
+            structure: s,
+            fresh,
+            ..
+        } => {
+            assert_eq!(s, structure);
+            assert!(fresh);
+        }
+        other => panic!("reply 1: expected registered, got {other:?}"),
+    }
+    match reply() {
+        Response::Solved(outcome) => {
+            assert_eq!(outcome.hypothesis.id, 1);
+            assert_eq!(outcome.error, 0.0);
+        }
+        other => panic!("reply 2: expected solved, got {other:?}"),
+    }
+    match reply() {
+        Response::Predictions { labels, error, .. } => {
+            assert_eq!(labels, vec![false, true]);
+            assert_eq!(error, Some(0.0));
+        }
+        other => panic!("reply 3: expected predictions, got {other:?}"),
+    }
 
     router.shutdown();
     for (_, h) in by_addr {

@@ -1,13 +1,14 @@
 //! The nonblocking event core: readiness-driven shards that serve many
-//! pipelined connections per thread.
+//! pipelined connections per thread. It is the one connection core of
+//! both daemons — the backend server and the cluster router each plug
+//! in an [`EventHandler`] and call [`EventCore::start`].
 //!
-//! The thread-per-connection front door ([`crate::framing::serve_framed`])
-//! spends one OS thread per peer blocked in `read_line`; at thousands
-//! of connections the scheduler thrash dominates and a failed
-//! `thread::spawn` used to kill the daemon outright. This module
-//! replaces it for the backend server: the acceptor hands each stream
-//! to one of a fixed set of *shard* threads, and each shard drives its
-//! connections with nonblocking reads and writes.
+//! A fixed set of *shard* threads ([`auto_loops`] picks how many)
+//! drives every connection with nonblocking reads and writes; no OS
+//! thread is spent per connection. The first shard also watches the
+//! listening socket: it accepts, counts each connection, turns it away
+//! past the connection cap, and deals the rest out to the shards
+//! round-robin.
 //!
 //! # Readiness and wakeups
 //!
@@ -25,8 +26,9 @@
 //!   connection's token onto the ready list and writes the shard's
 //!   `eventfd` — only when the waker is not already armed, so a
 //!   pipelined burst of completions costs one wakeup;
-//! * the acceptor's hand-off ([`ShardHandle::hand_off`]) and daemon
-//!   shutdown ([`ShardHandle::wake`]) wake the shard the same way;
+//! * a hand-off from the accepting shard ([`ShardHandle::hand_off`])
+//!   and daemon shutdown ([`Shutdown::request`]) wake the shard the
+//!   same way;
 //! * the wait's timeout is the earliest idle-timeout deadline on the
 //!   shard or the shutdown-grace deadline, plus a short retry tick while
 //!   some connection holds a job the full pool refused. Otherwise the
@@ -42,19 +44,21 @@
 //! work. Slots flush strictly in order, so pipelined replies can never
 //! be reordered no matter how the pool schedules the jobs.
 //!
-//! The lifecycle semantics of the framed loop survive verbatim: the
-//! oversize cap answers `malformed request: line exceeds N bytes` and
-//! closes, EOF mid-frame answers `malformed request: truncated frame
-//! (EOF before newline)`, the idle clock (which counts partial reads
-//! as activity) answers `bye (idle timeout)`, the request budget
-//! answers `bye (request limit)`, and daemon shutdown answers `bye
-//! (shutdown)` on every connection before the shards exit.
+//! The connection lifecycle ([`crate::framing`]): the oversize cap
+//! answers `malformed request: line exceeds N bytes` and closes, EOF
+//! mid-frame answers `malformed request: truncated frame (EOF before
+//! newline)`, the idle clock (which counts partial reads as activity)
+//! answers `bye (idle timeout)`, the request budget answers `bye
+//! (request limit)`, the connection cap answers `bye (connection
+//! limit)` at accept, and daemon shutdown answers `bye (shutdown)` on
+//! every connection before the shards exit.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -81,14 +85,17 @@ const MAX_EVENTS: usize = 256;
 /// it: their low half is a slab index.
 const WAKE_TOKEN: u64 = u64::MAX;
 
+/// The epoll token of the listening socket (first shard only). Like
+/// [`WAKE_TOKEN`], out of reach of a slab index.
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
+
 /// One ordered response slot in a connection's reply queue.
 struct Slot {
     cell: Mutex<Option<Response>>,
     op: &'static str,
     started: Instant,
     /// Whether draining this slot reports to the `observe` callback
-    /// (synthetic lifecycle replies — bye, oversize — do not, matching
-    /// the framed loop).
+    /// (synthetic lifecycle replies — bye, oversize — do not).
     observed: bool,
 }
 
@@ -96,7 +103,8 @@ struct Slot {
 struct Wake {
     /// Tokens of connections with a slot completed off the loop.
     ready: Mutex<Vec<u64>>,
-    /// Streams handed off by the acceptor; `None` once the shard exits.
+    /// Streams handed off by the accepting shard; `None` once the shard
+    /// exits.
     inbox: Mutex<Option<Vec<TcpStream>>>,
     /// Set while a wakeup is pending or the shard is awake and will look
     /// at `ready` and `inbox` before it next blocks. Only the notifier
@@ -113,15 +121,15 @@ impl Wake {
     }
 }
 
-/// Any thread's side of one shard: the acceptor hands it streams, and
-/// a shutdown request wakes it.
+/// Any thread's side of one shard: the accepting shard hands it
+/// streams, and a shutdown request wakes it.
 #[derive(Clone)]
-pub struct ShardHandle(Arc<Wake>);
+struct ShardHandle(Arc<Wake>);
 
 impl ShardHandle {
     /// Give the shard a freshly accepted stream and wake it. Hands the
     /// stream back if the shard has already exited.
-    pub fn hand_off(&self, stream: TcpStream) -> Result<(), TcpStream> {
+    fn hand_off(&self, stream: TcpStream) -> Result<(), TcpStream> {
         match self.0.inbox.lock().as_mut() {
             Some(inbox) => inbox.push(stream),
             None => return Err(stream),
@@ -132,7 +140,7 @@ impl ShardHandle {
 
     /// Make the shard run one pass now: it re-reads the daemon's
     /// shutdown flag, its inbox and its ready list.
-    pub fn wake(&self) {
+    fn wake(&self) {
         self.0.notify();
     }
 }
@@ -203,7 +211,7 @@ pub enum Dispatch {
 }
 
 /// The daemon half of the event core: request dispatch plus the metric
-/// and lifecycle callbacks the framed loop took as closures.
+/// and lifecycle callbacks.
 pub trait EventHandler: Send + Sync + 'static {
     /// Route one decoded request. Cheap requests should be answered
     /// inline (complete the responder and return [`Dispatch::Accepted`]);
@@ -217,7 +225,8 @@ pub trait EventHandler: Send + Sync + 'static {
     /// One served request: `(op, µs, ok)`.
     fn observe(&self, op: &'static str, us: u64, ok: bool);
 
-    /// A limit violation that closed a connection.
+    /// A connection was accepted or turned away, or a limit violation
+    /// closed it.
     fn conn_event(&self, ev: ConnEvent);
 
     /// A served request asked for daemon-wide shutdown (its `bye` reply
@@ -228,7 +237,7 @@ pub trait EventHandler: Send + Sync + 'static {
 /// Options for the event core.
 #[derive(Clone, Copy, Debug)]
 pub struct EventLoopOptions {
-    /// Per-connection limits (identical meaning to the framed loop).
+    /// Per-connection limits.
     pub limits: ConnLimits,
     /// Pipelined requests a single connection may have in flight before
     /// the shard stops reading from it.
@@ -324,8 +333,8 @@ impl Conn {
 
     /// When the idle clock expires, if it runs. Only a connection with
     /// nothing pending in either direction can be idle (a request being
-    /// computed, or a reply mid-flush, is activity — same as the framed
-    /// loop, where the clock only runs while waiting for the next line).
+    /// computed, or a reply mid-flush, is activity: the clock only runs
+    /// while waiting for the next line).
     fn idle_deadline(&self, idle_timeout: Duration) -> Option<Instant> {
         if self.closing
             || !self.slots.is_empty()
@@ -431,9 +440,8 @@ impl Conn {
             }
             if let Response::Bye { reason } = &response {
                 if !self.closing && reason == "shutdown" {
-                    // A served shutdown request: tell the daemon after
-                    // the bye is queued, exactly like the framed loop
-                    // which writes the bye before returning `true`.
+                    // A served shutdown request: tell the daemon once
+                    // the bye is queued.
                     handler.wants_shutdown();
                 }
                 self.closing = true;
@@ -519,8 +527,7 @@ impl Conn {
                 self.scan_from = self.read_buf.len();
                 return false;
             };
-            // Frame length includes the newline, matching `read_line`
-            // in the framed loop.
+            // Frame length includes the newline.
             if nl + 1 > limits.max_line_bytes {
                 self.oversize(handler, limits);
                 return false;
@@ -528,8 +535,8 @@ impl Conn {
             let line: Vec<u8> = self.read_buf.drain(..=nl).collect();
             self.scan_from = 0;
             let Ok(text) = std::str::from_utf8(&line) else {
-                // The framed loop's `read_line` fails the connection on
-                // invalid UTF-8 without a reply; do the same.
+                // Invalid UTF-8 is not protocol text: close without a
+                // reply.
                 return true;
             };
             if text.trim().is_empty() {
@@ -566,9 +573,10 @@ impl Conn {
                     }
                 }
                 Err(e) => {
-                    // The prefix is load-bearing: see the framed loop —
-                    // a correct client treats `malformed request` as
-                    // proof of in-flight corruption and retries.
+                    // The prefix is load-bearing: a correct client knows
+                    // its frame was well-formed, so `malformed request`
+                    // proves in-flight corruption and is safe to retry
+                    // (see `RetryPolicy::is_retryable`).
                     let slot = Arc::new(Slot {
                         cell: Mutex::new(Some(Response::error(format!("malformed request: {e}")))),
                         op: "malformed",
@@ -660,8 +668,8 @@ impl Slab {
 }
 
 /// Create one shard: the loop half, to run on its own thread, and the
-/// handle the acceptor hands streams to.
-pub fn shard() -> io::Result<(ShardHandle, Shard)> {
+/// handle other threads wake it through.
+fn shard() -> io::Result<(ShardHandle, Shard)> {
     let wake = Arc::new(Wake {
         ready: Mutex::new(Vec::new()),
         inbox: Mutex::new(Some(Vec::new())),
@@ -669,20 +677,83 @@ pub fn shard() -> io::Result<(ShardHandle, Shard)> {
         armed: AtomicBool::new(true),
         poller: sys::Poller::new(WAKE_TOKEN)?,
     });
-    Ok((ShardHandle(Arc::clone(&wake)), Shard { wake }))
+    Ok((
+        ShardHandle(Arc::clone(&wake)),
+        Shard {
+            wake,
+            acceptor: None,
+        },
+    ))
+}
+
+/// The listening half of the first shard.
+struct Acceptor {
+    listener: TcpListener,
+    /// Every shard, this one first; new connections go round-robin.
+    shards: Vec<ShardHandle>,
+    next: usize,
+    max_connections: usize,
+}
+
+impl Acceptor {
+    /// Accept the pending connections (at most [`MAX_EVENTS`] a pass;
+    /// the level-triggered listener reports the rest). Past the cap a
+    /// connection gets `bye (connection limit)`; the others are dealt
+    /// round-robin, and this shard's share is returned.
+    fn accept(&mut self, handler: &dyn EventHandler, live: &AtomicUsize) -> Vec<TcpStream> {
+        let mut mine = Vec::new();
+        for _ in 0..MAX_EVENTS {
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // Drained (`WouldBlock`), or out of descriptors: the
+                // listener stays readable and is reported again.
+                Err(_) => break,
+            };
+            if live.load(Ordering::SeqCst) >= self.max_connections {
+                handler.conn_event(ConnEvent::Rejected);
+                let _ = write_response(
+                    &mut stream,
+                    &Response::Bye {
+                        reason: "connection limit".to_string(),
+                    },
+                );
+                continue;
+            }
+            handler.conn_event(ConnEvent::Accepted);
+            live.fetch_add(1, Ordering::SeqCst);
+            let target = self.next % self.shards.len();
+            self.next = self.next.wrapping_add(1);
+            if target == 0 {
+                mine.push(stream);
+            } else if let Err(mut stream) = self.shards[target].hand_off(stream) {
+                // The shard is gone (only plausible during shutdown):
+                // degrade with a reply, not a panic.
+                live.fetch_sub(1, Ordering::SeqCst);
+                handler.conn_event(ConnEvent::Rejected);
+                let _ = write_response(
+                    &mut stream,
+                    &Response::error("server overloaded: event loop unavailable"),
+                );
+            }
+        }
+        mine
+    }
 }
 
 /// The loop half of one shard.
-pub struct Shard {
+struct Shard {
     wake: Arc<Wake>,
+    /// The first shard's listener.
+    acceptor: Option<Acceptor>,
 }
 
 impl Shard {
     /// Serve connections until the daemon's `shutdown` flag is set and
     /// [`ShardHandle::wake`] has woken the shard, keeping `live` in sync
-    /// so the acceptor's admission check and `tracked_connections` see
-    /// the true count.
-    pub fn run(
+    /// so the admission check and `tracked_connections` see the true
+    /// count.
+    fn run(
         self,
         handler: &Arc<dyn EventHandler>,
         opts: &EventLoopOptions,
@@ -691,6 +762,8 @@ impl Shard {
     ) {
         let handler = handler.as_ref();
         let wake = &self.wake;
+        let mut acceptor = self.acceptor;
+        let mut accept_ready = false;
         let mut conns = Slab::default();
         let mut chunk = vec![0u8; READ_CHUNK];
         let mut events = vec![sys::Event::default(); MAX_EVENTS];
@@ -702,19 +775,31 @@ impl Shard {
         let mut round = 0u64;
         loop {
             round += 1;
-            let handed = wake.inbox.lock().as_mut().map(std::mem::take);
-            for stream in handed.unwrap_or_default() {
+            if shutdown_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
+                shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
+                todo.extend(conns.tokens());
+                // Closing the listener stops accepting and takes it out
+                // of the epoll set.
+                acceptor = None;
+            }
+            let mut handed = wake
+                .inbox
+                .lock()
+                .as_mut()
+                .map(std::mem::take)
+                .unwrap_or_default();
+            if std::mem::take(&mut accept_ready) {
+                if let Some(acceptor) = acceptor.as_mut() {
+                    handed.extend(acceptor.accept(handler, live));
+                }
+            }
+            for stream in handed {
                 match conns.adopt(stream, wake) {
                     Ok(token) => todo.push(token),
                     Err(_) => {
                         live.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
-            }
-
-            if shutdown_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
-                shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
-                todo.extend(conns.tokens());
             }
             if next_idle.is_some_and(|deadline| Instant::now() >= deadline) {
                 next_idle = None;
@@ -793,6 +878,10 @@ impl Shard {
                     wake.poller.drain_wake();
                     continue;
                 }
+                if token == LISTEN_TOKEN {
+                    accept_ready = true;
+                    continue;
+                }
                 if event.has_input() {
                     if let Some(conn) = conns.get_mut(token) {
                         conn.readable = true;
@@ -806,12 +895,124 @@ impl Shard {
     }
 }
 
+/// The daemon-wide stop switch: set once, it wakes every shard.
+#[derive(Default)]
+pub struct Shutdown {
+    requested: AtomicBool,
+    shards: OnceLock<Vec<ShardHandle>>,
+}
+
+impl Shutdown {
+    /// Stop the daemon: the listener closes, and every shard answers
+    /// its connections `bye (shutdown)` and exits.
+    pub fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        for shard in self.shards.get().into_iter().flatten() {
+            shard.wake();
+        }
+    }
+
+    /// The flag [`Shutdown::request`] sets, for loops that poll it.
+    pub fn flag(&self) -> &AtomicBool {
+        &self.requested
+    }
+}
+
+/// Shard threads for a configured count: `0` means one per host core,
+/// capped at 4 (the loops are I/O-bound).
+pub fn auto_loops(configured: usize) -> usize {
+    match configured {
+        0 => std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(4),
+        n => n,
+    }
+}
+
+/// A running event core: its shards.
+pub struct EventCore {
+    loops: Vec<JoinHandle<()>>,
+    live: Arc<AtomicUsize>,
+}
+
+impl EventCore {
+    /// Serve `listener` with `loops` shards (threads named after
+    /// `name`) until `shutdown` is requested. At most `max_connections`
+    /// connections are live at once; every accept and rejection is
+    /// reported to the handler.
+    pub fn start(
+        name: &str,
+        listener: TcpListener,
+        handler: Arc<dyn EventHandler>,
+        opts: EventLoopOptions,
+        loops: usize,
+        max_connections: usize,
+        shutdown: &Arc<Shutdown>,
+    ) -> io::Result<Self> {
+        let (handles, mut shards): (Vec<_>, Vec<_>) = (0..loops.max(1))
+            .map(|_| shard())
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        listener.set_nonblocking(true)?;
+        shards[0].wake.poller.listen(&listener, LISTEN_TOKEN)?;
+        shards[0].acceptor = Some(Acceptor {
+            listener,
+            shards: handles.clone(),
+            next: 0,
+            max_connections,
+        });
+        let _ = shutdown.shards.set(handles);
+        let live = Arc::new(AtomicUsize::new(0));
+        let mut threads = Vec::with_capacity(shards.len());
+        for (i, shard) in shards.into_iter().enumerate() {
+            let (handler, live, shutdown) = (
+                Arc::clone(&handler),
+                Arc::clone(&live),
+                Arc::clone(shutdown),
+            );
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-loop-{i}"))
+                    .spawn(move || shard.run(&handler, &opts, &shutdown.requested, &live))?,
+            );
+        }
+        Ok(Self {
+            loops: threads,
+            live,
+        })
+    }
+
+    /// Connections currently owned by the shards.
+    pub fn live(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
+    }
+
+    /// Wait for the shards to exit (they do once the shutdown is
+    /// requested, after flushing in-flight replies for at most a grace
+    /// period).
+    pub fn join(&mut self) {
+        for h in self.loops.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Encode `response` and write it as one newline-terminated frame on a
+/// freshly accepted (still blocking) stream.
+fn write_response(writer: &mut TcpStream, response: &Response) -> io::Result<()> {
+    let mut line = response.encode();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 /// Epoll and eventfd through std-only `extern "C"` declarations.
 #[cfg(target_os = "linux")]
 mod sys {
     use std::ffi::c_void;
     use std::io;
-    use std::net::TcpStream;
+    use std::net::{TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
     use std::time::Duration;
 
@@ -901,6 +1102,12 @@ mod sys {
             self.add(stream.as_raw_fd(), events, token)
         }
 
+        /// Watch a listening socket, level-triggered: it is reported
+        /// for as long as connections wait to be accepted.
+        pub fn listen(&self, listener: &TcpListener, token: u64) -> io::Result<()> {
+            self.add(listener.as_raw_fd(), EPOLLIN, token)
+        }
+
         /// Block until readiness or the timeout (`None`: no timeout),
         /// rounded up to whole milliseconds so a deadline is never
         /// undershot. Returns the number of events filled in.
@@ -935,11 +1142,11 @@ mod sys {
 }
 
 /// The event core needs epoll: elsewhere creating a shard fails, and
-/// the daemon reports it at start (the threaded core runs anywhere).
+/// the daemon reports it at start.
 #[cfg(not(target_os = "linux"))]
 mod sys {
     use std::io;
-    use std::net::TcpStream;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
     #[derive(Clone, Copy, Default)]
@@ -961,11 +1168,15 @@ mod sys {
         pub fn new(_wake_token: u64) -> io::Result<Self> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "the event core needs Linux epoll; use the threaded core",
+                "the event core needs Linux epoll",
             ))
         }
 
         pub fn register(&self, _stream: &TcpStream, _token: u64) -> io::Result<()> {
+            match *self {}
+        }
+
+        pub fn listen(&self, _listener: &TcpListener, _token: u64) -> io::Result<()> {
             match *self {}
         }
 
@@ -987,13 +1198,39 @@ mod sys {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
-    use std::net::{SocketAddr, TcpListener};
+    use std::net::SocketAddr;
     use std::sync::mpsc;
-    use std::thread::JoinHandle;
 
     /// Every client read in these tests gives up after this long, so a
     /// missing wakeup fails the test instead of hanging it.
     const DEADLINE: Duration = Duration::from_secs(10);
+
+    impl Responder {
+        /// A responder on no connection, and a probe that takes the reply
+        /// once something completes it.
+        pub(crate) fn detached() -> (Self, impl Fn() -> Option<Response>) {
+            let (handle, _shard) = shard().expect("the event core runs here");
+            let slot = Arc::new(Slot {
+                cell: Mutex::new(None),
+                op: "detached",
+                started: Instant::now(),
+                observed: true,
+            });
+            let wake = Arc::new(ConnWake {
+                token: 0,
+                queued: AtomicBool::new(false),
+                shard: handle.0,
+            });
+            let probe = Arc::clone(&slot);
+            (
+                Self {
+                    slot: Some(slot),
+                    wake,
+                },
+                move || probe.cell.lock().take(),
+            )
+        }
+    }
 
     /// A handler that answers pings inline and never offloads.
     struct Echo;
@@ -1037,57 +1274,47 @@ mod tests {
         fn wants_shutdown(&self) {}
     }
 
-    /// One shard behind a blocking acceptor.
+    /// A one-shard event core on an ephemeral port.
     struct Harness {
         addr: SocketAddr,
-        shutdown: Arc<AtomicBool>,
-        handle: ShardHandle,
+        shutdown: Arc<Shutdown>,
+        core: EventCore,
         /// The shard thread's kernel thread id.
         tid: u32,
-        acceptor: JoinHandle<()>,
-        shard: JoinHandle<()>,
     }
 
     impl Harness {
         fn start(handler: Arc<dyn EventHandler>, opts: EventLoopOptions) -> Self {
+            // A process-unique thread name, so the shard's thread id
+            // can be found under /proc while other tests run.
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let name = format!("h{}", NEXT.fetch_add(1, Ordering::SeqCst));
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let live = Arc::new(AtomicUsize::new(0));
-            let (handle, shard) = super::shard().unwrap();
-            let (tid_tx, tid_rx) = mpsc::channel();
-            let shard = {
-                let (shutdown, live) = (Arc::clone(&shutdown), Arc::clone(&live));
-                std::thread::spawn(move || {
-                    let me = std::fs::read_link("/proc/thread-self").unwrap();
-                    let tid = me.file_name().unwrap().to_str().unwrap().parse().unwrap();
-                    tid_tx.send(tid).unwrap();
-                    shard.run(&handler, &opts, &shutdown, &live);
-                })
+            let shutdown = Arc::new(Shutdown::default());
+            let core =
+                EventCore::start(&name, listener, handler, opts, 1, 1024, &shutdown).unwrap();
+            let comm = format!("{name}-loop-0\n");
+            let until = Instant::now() + DEADLINE;
+            let tid = loop {
+                let found = std::fs::read_dir("/proc/self/task")
+                    .unwrap()
+                    .find_map(|task| {
+                        let path = task.ok()?.path();
+                        let named = std::fs::read_to_string(path.join("comm")).ok()? == comm;
+                        named.then(|| path.file_name()?.to_str()?.parse().ok())?
+                    });
+                if let Some(tid) = found {
+                    break tid;
+                }
+                assert!(Instant::now() < until, "the shard thread never started");
+                std::thread::sleep(Duration::from_millis(1));
             };
-            let acceptor = {
-                let (shutdown, handle) = (Arc::clone(&shutdown), handle.clone());
-                std::thread::spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        live.fetch_add(1, Ordering::SeqCst);
-                        if handle.hand_off(stream).is_err() {
-                            break;
-                        }
-                    }
-                })
-            };
-            let tid = tid_rx.recv_timeout(DEADLINE).unwrap();
             Self {
                 addr,
                 shutdown,
-                handle,
+                core,
                 tid,
-                acceptor,
-                shard,
             }
         }
 
@@ -1112,20 +1339,18 @@ mod tests {
             }
         }
 
-        /// Stop the shard and the acceptor, failing if the shard does
-        /// not exit within the deadline.
+        /// Stop the core, failing if the shard does not exit within the
+        /// deadline.
         fn stop(self) {
-            self.shutdown.store(true, Ordering::SeqCst);
-            self.handle.wake();
-            let _ = TcpStream::connect(self.addr);
+            self.shutdown.request();
             let (done_tx, done_rx) = mpsc::channel();
-            let shard = self.shard;
+            let mut core = self.core;
             let joiner = std::thread::spawn(move || {
-                let _ = done_tx.send(shard.join().is_ok());
+                core.join();
+                let _ = done_tx.send(());
             });
-            assert_eq!(done_rx.recv_timeout(DEADLINE), Ok(true), "shard exits");
+            assert_eq!(done_rx.recv_timeout(DEADLINE), Ok(()), "shard exits");
             joiner.join().unwrap();
-            self.acceptor.join().unwrap();
         }
     }
 

@@ -7,13 +7,13 @@
 //! * [`proto`] — wire format: framing, the [`proto::Json`] value type,
 //!   request/response envelopes, FNV-1a content hashing;
 //! * [`server`] — the daemon: structure registry, bounded worker pool
-//!   dispatch, sharded LRU result cache, metrics, graceful shutdown,
-//!   with two service cores (nonblocking event loop by default, the
-//!   thread-per-connection baseline behind [`server::CoreMode`]);
-//! * [`event_loop`] — the nonblocking readiness shards (epoll and an
-//!   eventfd waker, Linux-only): per-connection read/write buffers,
-//!   pipelined frame decoding, ordered response slots completed from
-//!   worker-pool callbacks;
+//!   dispatch, sharded LRU result cache, metrics, graceful shutdown;
+//! * [`event_loop`] — the one connection core of both this daemon and
+//!   the cluster router: nonblocking readiness shards
+//!   (epoll and an eventfd waker, Linux-only) with per-connection
+//!   read/write buffers, pipelined frame decoding, and ordered response
+//!   slots completed from pool callbacks; [`framing`] holds the
+//!   connection limits and lifecycle events it reports;
 //! * [`client`] — a blocking typed client, with optional deadlines
 //!   ([`client::ClientConfig`]) and a retrying wrapper
 //!   ([`client::RetryingClient`]) that reconnects and re-sends under a
@@ -27,6 +27,7 @@
 //!   E19);
 //! * [`cache`], [`pool`] — the daemon's moving parts, exposed for
 //!   reuse and testing (its metrics are a [`folearn_obs::Registry`]);
+//!   [`pool::ElasticPool`] runs the router's blocking backend calls;
 //! * [`loadgen`] — a deterministic load generator (experiment E17 and
 //!   the `folearn loadgen` subcommand).
 //!
@@ -65,4 +66,4 @@ pub use proto::{
     fnv1a64, hex64, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome, SolverSpec,
     TraceContext, WireBinding, WireExample, WireHypothesis, WireProvenance,
 };
-pub use server::{start, CoreMode, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};

@@ -1,34 +1,28 @@
 //! The daemon: TCP listener, structure registry, solve dispatch, and
 //! graceful shutdown.
 //!
-//! Two service cores share all of the dispatch logic:
+//! Connections are served by the event core ([`crate::event_loop`],
+//! Linux-only; elsewhere [`start`] fails with `Unsupported`): a fixed
+//! set of loop threads, each blocked in `epoll_wait` until a socket, a
+//! completed job or a deadline needs it, drives every connection with
+//! per-connection read/write buffers and decodes many pipelined frames
+//! per wakeup. This module is its [`EventHandler`]: cheap requests
+//! (ping, stats, register, cache hits, validation errors) are answered
+//! inline on the loop thread, and compute-shaped work (`solve`,
+//! `evaluate`, `modelcheck`) is offloaded to the bounded
+//! [`WorkerPool`], whose callbacks complete the connection's ordered
+//! response slots. Duplicate solves planned before their twin's result
+//! reaches the cache — routine inside a pipelined window — coalesce
+//! onto the one in-flight computation ([`State::inflight`]) and are
+//! replayed to every waiter as cache hits when it lands.
 //!
-//! * [`CoreMode::EventLoop`] (the default; Linux-only) — the
-//!   nonblocking readiness shards of [`crate::event_loop`]: a fixed set
-//!   of loop threads, each blocked in `epoll_wait` until a socket, a
-//!   completed job or a deadline needs it, drives every connection
-//!   with per-connection read/write buffers, decodes many pipelined
-//!   frames per wakeup, answers cheap requests
-//!   (ping, stats, register, cache hits, validation errors) inline on
-//!   the loop thread, and offloads compute-shaped work (`solve`,
-//!   `evaluate`, `modelcheck`) to the bounded [`WorkerPool`], whose
-//!   callbacks complete the connection's ordered response slots.
-//!   Duplicate solves planned before their twin's result reaches the
-//!   cache — routine inside a pipelined window — coalesce onto the one
-//!   in-flight computation ([`State::inflight`]) and are replayed to
-//!   every waiter as cache hits when it lands.
-//! * [`CoreMode::Threaded`] — the original thread-per-connection front
-//!   door over [`crate::framing::serve_framed`], kept as the measurable
-//!   baseline (experiment E23 compares the two) and for callers that
-//!   prefer one blocking thread per peer at small connection counts.
-//!
-//! Backpressure is structural in both cores: the pool queue is
-//! bounded, a connection may have at most `max_inflight_per_conn`
-//! requests in flight (one, in the threaded core), and each connection
-//! is closed after [`ServerConfig::max_requests_per_conn`] requests.
+//! Backpressure is structural: the pool queue is bounded (a full queue
+//! parks the job on its connection), a connection may have at most
+//! `max_inflight_per_conn` requests in flight, and each connection is
+//! closed after [`ServerConfig::max_requests_per_conn`] requests.
 //! Resource exhaustion degrades instead of panicking: past the
-//! connection cap (or on a failed `thread::spawn`) a fresh connection
-//! gets one reply and a close, counted as `rejected_connections`.
+//! connection cap a fresh connection gets one reply and a close,
+//! counted as `rejected_connections`.
 //!
 //! # Registry and arenas
 //!
@@ -47,12 +41,9 @@
 //! in-process oracle does.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use folearn::bruteforce::BruteForceOpts;
@@ -67,9 +58,11 @@ use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
 use crate::cache::{ShardedCache, ShardedMap};
-use crate::event_loop::{self, Dispatch, EventHandler, EventLoopOptions, Responder, ShardHandle};
-use crate::framing::{self, ConnEvent, ConnLimits};
-use crate::pool::{Job, TrySubmit, WorkerPool};
+use crate::event_loop::{
+    auto_loops, Dispatch, EventCore, EventHandler, EventLoopOptions, Responder, Shutdown,
+};
+use crate::framing::{ConnEvent, ConnLimits};
+use crate::pool::{reply_or_panic, Job, TrySubmit, WorkerPool};
 use crate::proto::{
     fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
     WireExample, WireHypothesis,
@@ -82,8 +75,9 @@ use crate::snapshot::{Durability, DurableRecord, DEFAULT_SNAPSHOT_EVERY};
 pub const MAX_SOLVER_THREADS: usize = 256;
 
 /// The `stats` layout: every slot in render order (see
-/// [`Registry::new`]). `core`, `durable` and `cache.hit_rate` are
-/// rendered by [`handle_stats`]; the rest are counters and gauges.
+/// [`Registry::new`]). `core` (always `"event"`, kept for wire
+/// compatibility), `durable` and `cache.hit_rate` are rendered by
+/// [`handle_stats`]; the rest are counters and gauges.
 const STATS_LAYOUT: &[&str] = &[
     "connections",
     "over_limit_closes",
@@ -115,27 +109,6 @@ const STATS_LAYOUT: &[&str] = &[
     "series",
 ];
 
-/// Which service core drives connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreMode {
-    /// One blocking OS thread per connection (the pre-event-loop
-    /// design; kept as the E23 baseline).
-    Threaded,
-    /// Nonblocking readiness shards with pipelining (the default).
-    EventLoop,
-}
-
-impl std::str::FromStr for CoreMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "thread" | "threaded" => Ok(CoreMode::Threaded),
-            "event" | "event-loop" => Ok(CoreMode::EventLoop),
-            other => Err(format!("unknown core {other:?} (use thread|event)")),
-        }
-    }
-}
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -143,8 +116,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads for compute requests (`0` = one per core).
     pub workers: usize,
-    /// Pending compute jobs before submitters block (threaded core) or
-    /// defer per connection (event core).
+    /// Pending compute jobs before the event core parks further ones
+    /// on their connections.
     pub queue_depth: usize,
     /// Result-cache entries (`0` disables caching).
     pub cache_capacity: usize,
@@ -163,21 +136,17 @@ pub struct ServerConfig {
     /// Close a connection after this long without activity (a completed
     /// request or partial bytes of an in-progress frame). Bounds
     /// abandoned sockets; the oversize cap bounds slow-loris peers.
-    /// The event core wakes at the deadline; the threaded core detects
-    /// it within its read-poll interval.
+    /// The event core wakes at the deadline.
     pub idle_timeout: Duration,
     /// Concurrent connections the daemon accepts; above the cap a fresh
     /// connection is greeted with `bye` and closed (counted under
     /// `rejected_connections`).
     pub max_connections: usize,
-    /// Which service core to run (default: the event loop).
-    pub core: CoreMode,
-    /// Readiness-loop shard threads for the event core (`0` = one per
-    /// host core, capped at 4 — the loops are I/O-bound).
+    /// Readiness-loop shard threads (`0` = one per host core, capped at
+    /// 4 — the loops are I/O-bound).
     pub event_loops: usize,
     /// Pipelined requests one connection may have in flight before the
-    /// event core stops reading from it (ignored by the threaded core,
-    /// which is strictly request/reply).
+    /// event core stops reading from it.
     pub max_inflight_per_conn: usize,
     /// Lock shards for the result cache, the structure registry, and
     /// the hypothesis store.
@@ -206,7 +175,6 @@ impl Default for ServerConfig {
             max_line_bytes: 4 << 20,
             idle_timeout: Duration::from_secs(300),
             max_connections: 256,
-            core: CoreMode::EventLoop,
             event_loops: 0,
             max_inflight_per_conn: 32,
             cache_shards: 8,
@@ -232,17 +200,13 @@ struct State {
     /// replayed trace can be stamped with its age.
     cache: ShardedCache<(SolveOutcome, Instant)>,
     /// Solve computations currently running on the pool, keyed like the
-    /// result cache (event core only). A pipelined duplicate of a solve
+    /// result cache. A pipelined duplicate of a solve
     /// whose twin has been planned but not yet cached attaches its
     /// responder here instead of recomputing; the running job fans its
     /// outcome out to every waiter when it completes.
     inflight: Mutex<HashMap<(u64, u64, u64), Vec<Responder>>>,
     metrics: Registry,
-    shutdown: AtomicBool,
-    /// Event core only: one handle per shard, so a shutdown request
-    /// reaches shards blocked in `epoll_wait`.
-    shards: OnceLock<Vec<ShardHandle>>,
-    addr: SocketAddr,
+    shutdown: Arc<Shutdown>,
     max_requests_per_conn: usize,
     max_line_bytes: usize,
     idle_timeout: Duration,
@@ -256,6 +220,25 @@ struct State {
 }
 
 impl State {
+    fn new(config: &ServerConfig) -> Self {
+        let shards = config.cache_shards.max(1);
+        State {
+            graphs: ShardedMap::new(shards),
+            arenas: Mutex::new(HashMap::new()),
+            hypotheses: ShardedMap::new(shards),
+            next_hypothesis: AtomicU64::new(1),
+            cache: ShardedCache::new(config.cache_capacity, shards),
+            inflight: Mutex::new(HashMap::new()),
+            metrics: Registry::new("server", STATS_LAYOUT),
+            shutdown: Arc::default(),
+            max_requests_per_conn: config.max_requests_per_conn.max(1),
+            max_line_bytes: config.max_line_bytes.max(1),
+            idle_timeout: config.idle_timeout,
+            durable: Mutex::new(None),
+            is_durable: config.data_dir.is_some(),
+        }
+    }
+
     fn graph(&self, hash: u64) -> Result<Arc<Graph>, String> {
         self.graphs
             .get(hash)
@@ -283,15 +266,6 @@ impl State {
         }
     }
 
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for shard in self.shards.get().into_iter().flatten() {
-            shard.wake();
-        }
-        // Poke the acceptor so a blocking accept() observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
     /// Append one mutation to the WAL, if durability is active. The
     /// append fsyncs before returning, so by the time the caller sends
     /// its response the mutation survives `kill -9`. An I/O failure is
@@ -308,27 +282,14 @@ impl State {
     }
 }
 
-/// Per-core bookkeeping inside a [`ServerHandle`].
-enum CoreHandles {
-    Threaded {
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-        pool: Arc<WorkerPool>,
-    },
-    Event {
-        loops: Vec<JoinHandle<()>>,
-        live: Arc<AtomicUsize>,
-        pool: Arc<WorkerPool>,
-    },
-}
-
 /// A running daemon. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] or [`ServerHandle::wait`] aborts less
 /// gracefully (threads are detached), so call one of them.
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<State>,
-    acceptor: Option<JoinHandle<()>>,
-    core: CoreHandles,
+    core: EventCore,
+    pool: Arc<WorkerPool>,
 }
 
 impl ServerHandle {
@@ -337,20 +298,14 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Live connections currently tracked. Threaded core: connection
-    /// handles not yet reaped (the acceptor reaps on every accept, so
-    /// this stays bounded however many connections the daemon has ever
-    /// served). Event core: connections currently owned by the shards.
+    /// Live connections currently owned by the event loops.
     pub fn tracked_connections(&self) -> usize {
-        match &self.core {
-            CoreHandles::Threaded { connections, .. } => connections.lock().len(),
-            CoreHandles::Event { live, .. } => live.load(Ordering::SeqCst),
-        }
+        self.core.live()
     }
 
     /// Ask the daemon to stop, then wait for all threads.
     pub fn shutdown(mut self) {
-        self.state.request_shutdown();
+        self.state.shutdown.request();
         self.join_all();
     }
 
@@ -360,44 +315,13 @@ impl ServerHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        match &mut self.core {
-            CoreHandles::Threaded { connections, pool } => {
-                // Acceptor has exited, so no new connections appear;
-                // join the existing ones (they exit within one poll
-                // interval of the shutdown flag, or as soon as their
-                // client hangs up).
-                loop {
-                    let handle = connections.lock().pop();
-                    match handle {
-                        Some(h) => {
-                            let _ = h.join();
-                        }
-                        None => break,
-                    }
-                }
-                // Workers drain their queue and exit when the pool
-                // drops its sender. `Arc::get_mut` succeeds because
-                // every clone lived in a connection thread we just
-                // joined.
-                if let Some(pool) = Arc::get_mut(pool) {
-                    pool.shutdown();
-                }
-            }
-            CoreHandles::Event { loops, pool, .. } => {
-                // Shards flush in-flight responses (bounded by the
-                // shutdown grace) and exit; their handler clones — the
-                // only other pool references — drop with them. Jobs
-                // never capture the pool (see `WorkerPool::panic_cell`).
-                for h in loops.drain(..) {
-                    let _ = h.join();
-                }
-                if let Some(pool) = Arc::get_mut(pool) {
-                    pool.shutdown();
-                }
-            }
+        // Shards flush in-flight responses (bounded by the shutdown
+        // grace) and exit; their handler clones — the only other pool
+        // references — drop with them. Jobs never capture the pool (see
+        // `WorkerPool::panic_cell`).
+        self.core.join();
+        if let Some(pool) = Arc::get_mut(&mut self.pool) {
+            pool.shutdown();
         }
     }
 }
@@ -409,24 +333,8 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let shards = config.cache_shards.max(1);
-    let state = Arc::new(State {
-        graphs: ShardedMap::new(shards),
-        arenas: Mutex::new(HashMap::new()),
-        hypotheses: ShardedMap::new(shards),
-        next_hypothesis: AtomicU64::new(1),
-        cache: ShardedCache::new(config.cache_capacity, shards),
-        inflight: Mutex::new(HashMap::new()),
-        metrics: Registry::new("server", STATS_LAYOUT),
-        shutdown: AtomicBool::new(false),
-        shards: OnceLock::new(),
-        addr,
-        max_requests_per_conn: config.max_requests_per_conn.max(1),
-        max_line_bytes: config.max_line_bytes.max(1),
-        idle_timeout: config.idle_timeout,
-        durable: Mutex::new(None),
-        is_durable: config.data_dir.is_some(),
-    });
+    let loops = auto_loops(config.event_loops);
+    let state = Arc::new(State::new(config));
     state
         .metrics
         .set("cache.shards", state.cache.num_shards() as u64);
@@ -438,12 +346,31 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         };
         recover(&state, dir, every)?;
     }
+    state.metrics.set("event_loops", loops as u64);
     let pool = Arc::new(WorkerPool::new(config.workers, config.queue_depth));
-    let max_connections = config.max_connections.max(1);
-    match config.core {
-        CoreMode::Threaded => start_threaded(listener, state, pool, max_connections),
-        CoreMode::EventLoop => start_event(config, listener, state, pool, max_connections),
-    }
+    let opts = EventLoopOptions {
+        limits: state.limits(),
+        max_inflight_per_conn: config.max_inflight_per_conn.max(1),
+    };
+    let handler = Arc::new(ServerDispatch {
+        state: Arc::clone(&state),
+        pool: Arc::clone(&pool),
+    });
+    let core = EventCore::start(
+        "folearn",
+        listener,
+        handler,
+        opts,
+        loops,
+        config.max_connections.max(1),
+        &state.shutdown,
+    )?;
+    Ok(ServerHandle {
+        addr,
+        state,
+        core,
+        pool,
+    })
 }
 
 /// Replay the durable history of `dir` into a freshly built state,
@@ -516,194 +443,7 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
     Ok(())
 }
 
-/// The thread-per-connection core: the E23 baseline.
-fn start_threaded(
-    listener: TcpListener,
-    state: Arc<State>,
-    pool: Arc<WorkerPool>,
-    max_connections: usize,
-) -> std::io::Result<ServerHandle> {
-    let addr = state.addr;
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let pool = Arc::clone(&pool);
-        let connections = Arc::clone(&connections);
-        std::thread::Builder::new()
-            .name("folearn-acceptor".to_string())
-            .spawn(move || {
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    // Reap finished handles before admitting anyone: the
-                    // tracked set stays bounded by the live connections,
-                    // not by the daemon's lifetime total.
-                    let admitted = {
-                        let mut conns = connections.lock();
-                        conns.retain(|h| !h.is_finished());
-                        conns.len() < max_connections
-                    };
-                    if !admitted {
-                        state.metrics.add("rejected_connections", 1);
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    state.metrics.add("connections", 1);
-                    let conn_state = Arc::clone(&state);
-                    let conn_pool = Arc::clone(&pool);
-                    // Keep a reply handle: if the spawn below fails
-                    // (thread limit, OOM) the stream has been moved
-                    // into the dropped closure, and this clone is what
-                    // lets the daemon degrade with an error reply
-                    // instead of panicking.
-                    let reply = stream.try_clone().ok();
-                    let spawned = std::thread::Builder::new()
-                        .name("folearn-conn".to_string())
-                        .spawn(move || serve_connection(&conn_state, &conn_pool, stream));
-                    match spawned {
-                        Ok(handle) => connections.lock().push(handle),
-                        Err(_) => {
-                            state.metrics.add("rejected_connections", 1);
-                            if let Some(mut s) = reply {
-                                let _ = framing::write_response(
-                                    &mut s,
-                                    &Response::error(
-                                        "server overloaded: cannot spawn connection thread",
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        acceptor: Some(acceptor),
-        core: CoreHandles::Threaded { connections, pool },
-    })
-}
-
-/// The nonblocking event core: readiness shards plus a round-robin
-/// acceptor that only counts and hands off.
-fn start_event(
-    config: &ServerConfig,
-    listener: TcpListener,
-    state: Arc<State>,
-    pool: Arc<WorkerPool>,
-    max_connections: usize,
-) -> std::io::Result<ServerHandle> {
-    let addr = state.addr;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let num_loops = if config.event_loops == 0 {
-        cores.min(4)
-    } else {
-        config.event_loops
-    };
-    state.metrics.set("event_loops", num_loops as u64);
-    let opts = EventLoopOptions {
-        limits: state.limits(),
-        max_inflight_per_conn: config.max_inflight_per_conn.max(1),
-    };
-    let live = Arc::new(AtomicUsize::new(0));
-    let handler: Arc<dyn EventHandler> = Arc::new(ServerDispatch {
-        state: Arc::clone(&state),
-        pool: Arc::clone(&pool),
-    });
-
-    let (handles, shards): (Vec<_>, Vec<_>) = (0..num_loops)
-        .map(|_| event_loop::shard())
-        .collect::<std::io::Result<Vec<_>>>()?
-        .into_iter()
-        .unzip();
-    let _ = state.shards.set(handles.clone());
-    let mut loops = Vec::with_capacity(num_loops);
-    for (i, shard) in shards.into_iter().enumerate() {
-        let handler = Arc::clone(&handler);
-        let live = Arc::clone(&live);
-        let state = Arc::clone(&state);
-        loops.push(
-            std::thread::Builder::new()
-                .name(format!("folearn-loop-{i}"))
-                .spawn(move || shard.run(&handler, &opts, &state.shutdown, &live))?,
-        );
-    }
-
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let live = Arc::clone(&live);
-        std::thread::Builder::new()
-            .name("folearn-acceptor".to_string())
-            .spawn(move || {
-                let mut next = 0usize;
-                for incoming in listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = incoming else { continue };
-                    if live.load(Ordering::SeqCst) >= max_connections {
-                        state.metrics.add("rejected_connections", 1);
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::Bye {
-                                reason: "connection limit".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    state.metrics.add("connections", 1);
-                    live.fetch_add(1, Ordering::SeqCst);
-                    let shard = next % handles.len();
-                    next = next.wrapping_add(1);
-                    if let Err(mut stream) = handles[shard].hand_off(stream) {
-                        // The shard is gone (only plausible during
-                        // shutdown): degrade with a reply, not a panic.
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        state.metrics.add("rejected_connections", 1);
-                        let _ = framing::write_response(
-                            &mut stream,
-                            &Response::error("server overloaded: event loop unavailable"),
-                        );
-                    }
-                }
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        acceptor: Some(acceptor),
-        core: CoreHandles::Event { loops, live, pool },
-    })
-}
-
-fn serve_connection(state: &Arc<State>, pool: &Arc<WorkerPool>, stream: TcpStream) {
-    let limits = state.limits();
-    // The framing loop (shared with the cluster router) owns the wire;
-    // this daemon plugs in its dispatch and metrics.
-    let wants_shutdown = framing::serve_framed(
-        stream,
-        &limits,
-        &state.shutdown,
-        |req| handle_request(state, pool, req),
-        |op, us, ok| state.metrics.record_request(op, us, ok),
-        |ev| state.metrics.add(ev.name(), 1),
-    );
-    if wants_shutdown {
-        state.request_shutdown();
-    }
-}
-
-/// The event core's dispatcher: cheap requests answered inline on the
+/// The daemon's event handler: cheap requests answered inline on the
 /// loop thread, compute-shaped ones packaged into pool jobs that
 /// complete the ordered response slot when they run.
 struct ServerDispatch {
@@ -752,16 +492,7 @@ impl ServerDispatch {
         let state = Arc::clone(&self.state);
         let panics = self.pool.panic_cell();
         let job: Job = Box::new(move || {
-            let response = match catch_unwind(AssertUnwindSafe(|| run(&state))) {
-                Ok(response) => response,
-                Err(payload) => {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    folearn_obs::count(folearn_obs::Counter::WorkerPanics, 1);
-                    let message = panic_message(&payload);
-                    Response::error(format!("{prefix}: worker panicked: {message}"))
-                }
-            };
-            responder.complete(response);
+            responder.complete(reply_or_panic(prefix, &panics, || run(&state)));
         });
         match self.pool.try_submit(job) {
             Ok(()) => Dispatch::Accepted,
@@ -906,75 +637,7 @@ impl EventHandler for ServerDispatch {
     }
 
     fn wants_shutdown(&self) {
-        self.state.request_shutdown();
-    }
-}
-
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
-}
-
-/// The threaded core's dispatcher (blocking: compute requests submit to
-/// the pool and wait for the reply on the connection thread).
-fn handle_request(state: &Arc<State>, pool: &Arc<WorkerPool>, req: Request) -> Response {
-    match req {
-        Request::Ping => Response::Pong,
-        Request::Shutdown => Response::Bye {
-            reason: "shutdown".to_string(),
-        },
-        Request::Stats => handle_stats(state, pool),
-        Request::Inventory => handle_inventory(state),
-        Request::Register { graph_text } => handle_register(state, &graph_text),
-        Request::Solve {
-            structure,
-            examples,
-            ell,
-            q,
-            epsilon,
-            solver,
-            trace,
-        } => match plan_solve(state, structure, &examples, ell, q, epsilon, &solver, trace, true) {
-            Err(response) => response,
-            Ok(job) => {
-                state.metrics.series(|s| s.record_cache(false));
-                let state = Arc::clone(state);
-                match on_pool(pool, move || run_solve(&state, job)) {
-                    Ok(response) => response,
-                    Err(e) => Response::error(format!("solve: {e}")),
-                }
-            }
-        },
-        Request::Evaluate {
-            structure,
-            hypothesis,
-            tuples,
-            labels,
-        } => match plan_evaluate(state, structure, hypothesis, tuples, labels) {
-            Err(response) => response,
-            Ok(job) => match on_pool(pool, move || run_evaluate(job)) {
-                Ok(response) => response,
-                Err(e) => Response::error(format!("evaluate: {e}")),
-            },
-        },
-        Request::ModelCheck {
-            structure,
-            formula,
-            engine,
-            trace,
-        } => match plan_modelcheck(state, structure, &formula, engine, trace) {
-            Err(response) => response,
-            Ok(job) => {
-                let state = Arc::clone(state);
-                match on_pool(pool, move || run_modelcheck(&state, job)) {
-                    Ok(response) => response,
-                    Err(e) => Response::error(format!("modelcheck: {e}")),
-                }
-            }
-        },
+        self.state.shutdown.request();
     }
 }
 
@@ -994,14 +657,9 @@ fn handle_stats(state: &Arc<State>, pool: &Arc<WorkerPool>) -> Response {
     } else {
         hits as f64 / lookups as f64
     };
-    let core = if state.shards.get().is_some() {
-        "event"
-    } else {
-        "thread"
-    };
     Response::Stats {
         data: metrics.snapshot(vec![
-            ("core", Json::str(core)),
+            ("core", Json::str("event")),
             ("durable", Json::Bool(state.is_durable)),
             ("cache.hit_rate", Json::Num(hit_rate)),
         ]),
@@ -1055,39 +713,6 @@ fn handle_inventory(state: &Arc<State>) -> Response {
     Response::Inventory {
         structures,
         hypotheses,
-    }
-}
-
-/// Run `job` on the worker pool and block for its reply. A panicking
-/// job is caught *inside* the submitted closure so the panic message
-/// can ride back to the caller as an error string (the worker-loop
-/// `catch_unwind` is the backstop for jobs submitted without a reply
-/// channel); the worker thread survives either way.
-fn on_pool<T: Send + 'static>(
-    pool: &Arc<WorkerPool>,
-    job: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, String> {
-    let (tx, rx) = mpsc::channel();
-    let panics = pool.panic_cell();
-    let submitted = pool.submit(Box::new(move || {
-        match catch_unwind(AssertUnwindSafe(job)) {
-            Ok(value) => {
-                let _ = tx.send(Ok(value));
-            }
-            Err(payload) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                folearn_obs::count(folearn_obs::Counter::WorkerPanics, 1);
-                let message = panic_message(&payload);
-                let _ = tx.send(Err(format!("worker panicked: {message}")));
-            }
-        }
-    }));
-    if !submitted {
-        return Err("server is shutting down".to_string());
-    }
-    match rx.recv() {
-        Ok(result) => result,
-        Err(_) => Err("worker failed".to_string()),
     }
 }
 
@@ -1495,28 +1120,46 @@ fn run_modelcheck(state: &Arc<State>, job: McJob) -> Response {
 mod tests {
     use super::*;
 
-    #[test]
-    fn on_pool_surfaces_panics_as_errors_and_the_pool_survives() {
-        let pool = Arc::new(WorkerPool::new(1, 4));
-        let err = on_pool::<()>(&pool, || panic!("boom at level {}", 3)).unwrap_err();
-        assert!(err.starts_with("worker panicked"), "{err:?}");
-        assert!(err.contains("boom at level 3"), "{err:?}");
-        assert_eq!(pool.panic_count(), 1);
-        assert_eq!(pool.num_workers(), 1);
-        // The single worker survived and still serves (a handler would
-        // turn the Err above into a `Response::Error` for the client).
-        assert_eq!(on_pool(&pool, || 6 * 7).unwrap(), 42);
+    /// Wait (bounded) for the reply `take` yields once a job completed it.
+    fn reply(take: impl Fn() -> Option<Response>) -> Response {
+        let until = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(response) = take() {
+                return response;
+            }
+            assert!(Instant::now() < until, "the offloaded job never replied");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
-    fn core_mode_parses_both_spellings() {
-        assert_eq!("thread".parse::<CoreMode>().unwrap(), CoreMode::Threaded);
-        assert_eq!("threaded".parse::<CoreMode>().unwrap(), CoreMode::Threaded);
-        assert_eq!("event".parse::<CoreMode>().unwrap(), CoreMode::EventLoop);
-        assert_eq!(
-            "event-loop".parse::<CoreMode>().unwrap(),
-            CoreMode::EventLoop
-        );
-        assert!("epoll".parse::<CoreMode>().is_err());
+    fn offload_surfaces_panics_as_errors_and_the_worker_survives() {
+        let dispatch = ServerDispatch {
+            state: Arc::new(State::new(&ServerConfig::default())),
+            pool: Arc::new(WorkerPool::new(1, 4)),
+        };
+        let (responder, take) = Responder::detached();
+        let accepted = dispatch.offload("solve", responder, |_| panic!("boom at level {}", 3));
+        assert!(matches!(accepted, Dispatch::Accepted));
+        match reply(take) {
+            Response::Error { message, .. } => {
+                assert!(
+                    message.starts_with("solve: worker panicked: "),
+                    "{message:?}"
+                );
+                assert!(message.contains("boom at level 3"), "{message:?}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        let Response::Stats { data } = handle_stats(&dispatch.state, &dispatch.pool) else {
+            panic!("stats replies with stats")
+        };
+        assert_eq!(data.get("worker_panics").and_then(Json::as_usize), Some(1));
+        // The single worker survived and still serves.
+        let (responder, take) = Responder::detached();
+        let accepted = dispatch.offload("evaluate", responder, |_| Response::Pong);
+        assert!(matches!(accepted, Dispatch::Accepted));
+        assert!(matches!(reply(take), Response::Pong));
+        assert_eq!(dispatch.pool.num_workers(), 1);
     }
 }

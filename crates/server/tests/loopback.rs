@@ -2,16 +2,19 @@
 //! (cold and cached), evaluate, model-check, stats, bad requests, the
 //! request limit, connection-lifecycle limits (oversized frames,
 //! truncated frames, idle timeout, connection cap), and graceful
-//! shutdown.
+//! shutdown. The connection-lifecycle contract is checked against both
+//! daemons: a bare backend and a cluster router in front of one.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
+
+use folearn_cluster::{RouterConfig, RouterHandle};
 
 use folearn_logic::vm::EvalEngine;
 use folearn_server::proto::{hex64, Json, Request, Response};
 use folearn_server::{
-    start, Client, ClientApi, ClientError, LoadgenConfig, ServerConfig, SolverSpec,
+    start, Client, ClientApi, ClientError, LoadgenConfig, ServerConfig, ServerHandle, SolverSpec,
     WireExample,
 };
 
@@ -25,6 +28,60 @@ fn sample() -> Vec<WireExample> {
             label: v % 2 == 0,
         })
         .collect()
+}
+
+/// A daemon under a connection-lifecycle test: a bare backend, or a
+/// cluster router (in front of one backend) with the same front-door
+/// limits.
+enum Daemon {
+    Server(ServerHandle),
+    Router(RouterHandle, ServerHandle),
+}
+
+impl Daemon {
+    const KINDS: [&'static str; 2] = ["server", "router"];
+
+    fn start(kind: &str, max_connections: usize, idle_timeout: Duration) -> Self {
+        let server_limits = ServerConfig {
+            max_connections,
+            idle_timeout,
+            ..ServerConfig::default()
+        };
+        match kind {
+            "server" => Daemon::Server(start(&server_limits).expect("server starts")),
+            "router" => {
+                let backend = start(&ServerConfig::default()).expect("backend starts");
+                let router = folearn_cluster::start(&RouterConfig {
+                    backends: vec![backend.addr().to_string()],
+                    replicas: 1,
+                    repair_interval: None,
+                    max_connections,
+                    idle_timeout,
+                    ..RouterConfig::default()
+                })
+                .expect("router starts");
+                Daemon::Router(router, backend)
+            }
+            other => panic!("unknown daemon kind {other:?}"),
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Daemon::Server(h) => h.addr(),
+            Daemon::Router(r, _) => r.addr(),
+        }
+    }
+
+    fn shutdown(self) {
+        match self {
+            Daemon::Server(h) => h.shutdown(),
+            Daemon::Router(r, backend) => {
+                r.shutdown();
+                backend.shutdown();
+            }
+        }
+    }
 }
 
 #[test]
@@ -478,22 +535,17 @@ fn connection_cap_turns_new_connections_away() {
 
 #[test]
 fn flood_past_the_cap_is_rejected_gracefully_and_the_daemon_survives() {
-    // The crash this PR fixes: a connection flood used to hit
-    // `.expect("spawn connection thread")` (threaded core) or pile up
-    // unboundedly. Now every connection past the cap gets one `bye` and
-    // a close, the flood is counted, and the daemon keeps serving.
-    for core in [folearn_server::CoreMode::EventLoop, folearn_server::CoreMode::Threaded] {
-        let config = ServerConfig {
-            max_connections: 8,
-            core,
-            ..ServerConfig::default()
-        };
-        let handle = start(&config).expect("server starts");
-        let addr = handle.addr();
+    // A connection flood must never crash a daemon or pile up
+    // unboundedly: every connection past the cap gets one `bye` and a
+    // close, the flood is counted, and the daemon keeps serving.
+    for kind in Daemon::KINDS {
+        let daemon = Daemon::start(kind, 8, ServerConfig::default().idle_timeout);
+        let addr = daemon.addr();
         // Hold the cap's worth of live connections...
         let held: Vec<Client> = (0..8)
             .map(|i| {
-                let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("held conn {i}: {e}"));
+                let mut c =
+                    Client::connect(addr).unwrap_or_else(|e| panic!("[{kind}] held conn {i}: {e}"));
                 c.ping().expect("held conn serves");
                 c
             })
@@ -506,13 +558,16 @@ fn flood_past_the_cap_is_rejected_gracefully_and_the_daemon_survives() {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             match read_reply(s) {
                 Response::Bye { reason } => {
-                    assert_eq!(reason, "connection limit");
+                    assert_eq!(reason, "connection limit", "[{kind}]");
                     rejected += 1;
                 }
-                other => panic!("expected bye, got {other:?}"),
+                other => panic!("[{kind}] expected bye, got {other:?}"),
             }
         }
-        assert_eq!(rejected, 60, "every flooded connection was answered");
+        assert_eq!(
+            rejected, 60,
+            "[{kind}] every flooded connection was answered"
+        );
         // The held connections still serve, and the flood is visible in
         // the stats.
         let mut held = held;
@@ -524,25 +579,24 @@ fn flood_past_the_cap_is_rejected_gracefully_and_the_daemon_survives() {
             .get("rejected_connections")
             .and_then(Json::as_usize)
             .expect("rejected_connections gauge");
-        assert!(rejected_stat >= 60, "counted {rejected_stat}");
+        assert!(rejected_stat >= 60, "[{kind}] counted {rejected_stat}");
         drop(held);
-        handle.shutdown();
+        daemon.shutdown();
     }
 }
 
 #[test]
 fn slow_writer_is_served_not_idle_closed() {
-    // Satellite fix: the idle clock must count partial bytes of an
-    // in-progress frame as activity. A peer trickling one legitimate
-    // frame slower than the idle timeout is slow, not idle.
-    for core in [folearn_server::CoreMode::EventLoop, folearn_server::CoreMode::Threaded] {
-        let config = ServerConfig {
-            idle_timeout: Duration::from_millis(300),
-            core,
-            ..ServerConfig::default()
-        };
-        let handle = start(&config).expect("server starts");
-        let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    // The idle clock must count partial bytes of an in-progress frame
+    // as activity. A peer trickling one legitimate frame slower than
+    // the idle timeout is slow, not idle.
+    for kind in Daemon::KINDS {
+        let daemon = Daemon::start(
+            kind,
+            ServerConfig::default().max_connections,
+            Duration::from_millis(300),
+        );
+        let mut s = TcpStream::connect(daemon.addr()).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         s.set_nodelay(true).unwrap();
         let frame = format!("{}\n", Request::Ping.encode());
@@ -554,9 +608,9 @@ fn slow_writer_is_served_not_idle_closed() {
         }
         match read_reply(s) {
             Response::Pong => {}
-            other => panic!("slow writer must be served, got {other:?}"),
+            other => panic!("[{kind}] slow writer must be served, got {other:?}"),
         }
-        handle.shutdown();
+        daemon.shutdown();
     }
 }
 

@@ -1,8 +1,7 @@
 //! Property test for the event core's pipelining: a burst of valid
 //! requests written as one pipelined blob must yield byte-identical
 //! replies, in order, to the same requests issued strictly
-//! request/reply — and the baseline runs on the *threaded* core, so
-//! each case also proves the two service cores agree on the wire.
+//! request/reply against a second, identically prepared daemon.
 //!
 //! Determinism notes baked into the harness: both daemons run one pool
 //! worker (so compute jobs execute in submission order and hypothesis
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 use folearn_logic::vm::EvalEngine;
 use folearn_server::proto::{Request, SolverSpec, WireExample};
-use folearn_server::{start, Client, ClientApi, CoreMode, ServerConfig, ServerHandle};
+use folearn_server::{start, Client, ClientApi, ServerConfig, ServerHandle};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -140,11 +139,10 @@ fn encode_burst(items: &[Item], structure: u64) -> Vec<String> {
 
 /// Start a daemon, register the graph, and warm every (sample, engine)
 /// solve the burst can repeat. Returns the handle and structure hash.
-fn prepared_daemon(core: CoreMode) -> (ServerHandle, u64) {
+fn prepared_daemon() -> (ServerHandle, u64) {
     let handle = start(&ServerConfig {
         workers: 1,
         trace: false,
-        core,
         ..ServerConfig::default()
     })
     .expect("daemon starts");
@@ -166,9 +164,8 @@ proptest! {
     fn pipelined_burst_replies_match_sequential_request_reply(
         items in collection::vec(item_strategy(), 1..12)
     ) {
-        // Pipelined schedule on the event core: one write, N ordered
-        // replies.
-        let (event, structure) = prepared_daemon(CoreMode::EventLoop);
+        // Pipelined schedule: one write, N ordered replies.
+        let (event, structure) = prepared_daemon();
         let lines = encode_burst(&items, structure);
         let mut stream = TcpStream::connect(event.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -184,11 +181,11 @@ proptest! {
         drop(reader);
         event.shutdown();
 
-        // Sequential schedule on the threaded core: same requests, one
-        // at a time.
-        let (threaded, structure2) = prepared_daemon(CoreMode::Threaded);
+        // Sequential schedule on a fresh daemon: same requests, one at
+        // a time.
+        let (sequential_daemon, structure2) = prepared_daemon();
         prop_assert_eq!(structure, structure2, "content hash is canonical");
-        let mut stream = TcpStream::connect(threaded.addr()).expect("connect");
+        let mut stream = TcpStream::connect(sequential_daemon.addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut sequential = Vec::with_capacity(lines.len());
@@ -200,7 +197,7 @@ proptest! {
         }
         drop(reader);
         drop(stream);
-        threaded.shutdown();
+        sequential_daemon.shutdown();
 
         for (i, (p, s)) in pipelined.iter().zip(&sequential).enumerate() {
             prop_assert_eq!(p, s, "reply {} diverged for {:?}", i, items[i]);

@@ -153,6 +153,20 @@ grep -q '3 backends, 3 live' "$SMOKE/top.txt"
 # Each live backend row carries the router's timing of its calls to it.
 grep -Eq 'requests, calls p50 [0-9]+µs p99 [0-9]+µs' "$SMOKE/top.txt"
 
+# The router's front door is the same event core: 224 concurrent
+# pipelined clients through it must all be answered (224 conns × 20
+# requests + 224 registers = 4704), with zero errors.
+"$FOLEARN" loadgen --addr "$RADDR" --graph "$SMOKE/graph.txt" \
+    --connections 224 --requests 20 --pipeline 8 --pool 1 --seed 23 \
+    --timeout-ms 60000 > "$SMOKE/router-loadgen.txt"
+grep -q '^4704 requests over 224 connections' "$SMOKE/router-loadgen.txt"
+grep -q ', 0 errors' "$SMOKE/router-loadgen.txt"
+if grep -q 'failed' "$SMOKE/router-loadgen.txt"; then
+    echo "tier1: pipelined loadgen through the router had worker failures" >&2
+    cat "$SMOKE/router-loadgen.txt" >&2
+    exit 1
+fi
+
 # Kill one backend; a fresh structure must still learn through the
 # surviving replicas (the router retries and fails over internally).
 kill "$B2_PID"; wait "$B2_PID" 2>/dev/null || true

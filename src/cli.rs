@@ -11,7 +11,7 @@
 //! * `types      --graph G.txt [--q N] [--k N]`
 //! * `dot        --graph G.txt`
 //! * `trace      --file T.jsonl`
-//! * `serve      [--addr H:P] [--data-dir DIR] [--snapshot-every N] [--core thread|event] [--loops N] [--inflight N] [--cache-shards N] [--workers N] [--queue N] [--cache N] [--max-requests N] [--max-line BYTES] [--idle-ms N] [--max-conns N] [--addr-file PATH] [--trace on|off]`
+//! * `serve      [--addr H:P] [--data-dir DIR] [--snapshot-every N] [--loops N] [--inflight N] [--cache-shards N] [--workers N] [--queue N] [--cache N] [--max-requests N] [--max-line BYTES] [--idle-ms N] [--max-conns N] [--addr-file PATH] [--trace on|off]`
 //! * `route      --backends H:P,H:P,… [--replicas R] [--hedge-ms N] [--repair-ms N] [--vnodes N] [--eject-after N] [--addr H:P] [--addr-file PATH] [--timeout-ms N] [--retries N] [--retry-seed N] [--trace on|off]`
 //! * `client     --addr H:P --action ping|register|solve|evaluate|modelcheck|stats|shutdown [--timeout-ms N] [--retries N] [--retry-seed N] [--trace-out T.jsonl] …`
 //! * `loadgen    --addr H:P[,H:P…] --graph G.txt [--connections N] [--requests N] [--pipeline N] [--seed N] [--pool N] [--timeout-ms N] [--retries N] [--retry-seed N]`
@@ -376,11 +376,6 @@ fn cmd_serve(opts: &Options) -> Result<String, CliError> {
             opts.get_usize("idle-ms", defaults.idle_timeout.as_millis() as usize)? as u64,
         ),
         max_connections: opts.get_usize("max-conns", defaults.max_connections)?,
-        core: opts
-            .get("core")
-            .unwrap_or("event")
-            .parse()
-            .map_err(err)?,
         event_loops: opts.get_usize("loops", defaults.event_loops)?,
         max_inflight_per_conn: opts.get_usize("inflight", defaults.max_inflight_per_conn)?,
         cache_shards: opts.get_usize("cache-shards", defaults.cache_shards)?,
