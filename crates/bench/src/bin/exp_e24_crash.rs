@@ -7,7 +7,7 @@
 //! restarted — and the two recovery paths differ exactly as designed:
 //!
 //! * `--data-dir` (durable): the restarted backend replays its WAL —
-//!   `wal_records_replayed > 0`, hypotheses and their local ids intact —
+//!   `wal_records_replayed > 0`, hypotheses back under their ids —
 //!   so the router's anti-entropy sweep finds **nothing to re-seed**
 //!   (`reseeds == 0`). Recovery cost is the replay, measured both by
 //!   the daemon (`recovery_ms`) and end to end (`restart_ms`).
@@ -191,7 +191,6 @@ struct CellOutcome {
     wall_ms: usize,
     failovers: u64,
     reseeds: u64,
-    rebinds_avoided: u64,
     /// SIGKILL → the respawned process answers `stats` again.
     restart_ms: usize,
     /// Serving again → its inventory holds the reduction's structure
@@ -201,7 +200,7 @@ struct CellOutcome {
     /// The daemon's own measure of replay cost (volatile: 0).
     recovery_ms: u64,
     /// Post-restart hypothesis count straight off the victim —
-    /// durable restarts come back with bindings already in place.
+    /// durable restarts come back with their hypotheses in place.
     hypotheses_after_restart: usize,
     unrecovered_errors: usize,
 }
@@ -293,14 +292,13 @@ fn run_cell(g: &Graph, expected: &[ReductionReport], durable: bool) -> CellOutco
     };
 
     // Let at least two full repair sweeps run after convergence so the
-    // reseed/rebind counters are settled, then read everything.
+    // reseed counter is settled, then read everything.
     std::thread::sleep(REPAIR_INTERVAL * 3);
     let router_stats = Client::connect(router.addr())
         .and_then(|mut c| c.stats())
         .expect("router stats");
     let failovers = stat_u64(&router_stats, "failovers");
     let reseeds = stat_u64(&router_stats, "repairs_performed");
-    let rebinds_avoided = stat_u64(&router_stats, "rebinds_avoided");
 
     let victim_stats = Client::connect(&victim_addr)
         .and_then(|mut c| c.stats())
@@ -331,7 +329,6 @@ fn run_cell(g: &Graph, expected: &[ReductionReport], durable: bool) -> CellOutco
         wall_ms,
         failovers,
         reseeds,
-        rebinds_avoided,
         restart_ms,
         converge_ms,
         wal_records_replayed,
@@ -348,7 +345,6 @@ fn cell_json(name: &str, c: &CellOutcome) -> Json {
         ("wall_ms", Json::int(c.wall_ms)),
         ("failovers", Json::int(c.failovers as usize)),
         ("reseeds", Json::int(c.reseeds as usize)),
-        ("rebinds_avoided", Json::int(c.rebinds_avoided as usize)),
         ("restart_ms", Json::int(c.restart_ms)),
         ("converge_ms", Json::int(c.converge_ms)),
         (
@@ -405,7 +401,7 @@ fn main() {
     println!();
     println!(
         "recovery (WAL replay): {}ms to serving + {}ms to full inventory, \
-         {} records replayed (daemon-side replay {}ms), {} bindings back",
+         {} records replayed (daemon-side replay {}ms), {} hypotheses back",
         durable.restart_ms,
         durable.converge_ms,
         durable.wal_records_replayed,
@@ -414,8 +410,8 @@ fn main() {
     );
     println!(
         "reseed (cold):         {}ms to serving + {}ms to full inventory, \
-         {} reseeds, {} rebinds avoided",
-        volatile.restart_ms, volatile.converge_ms, volatile.reseeds, volatile.rebinds_avoided
+         {} reseeds",
+        volatile.restart_ms, volatile.converge_ms, volatile.reseeds
     );
     println!();
 

@@ -22,23 +22,25 @@
 //!   its channel receiver is gone). Transport failures walk further
 //!   down the replica ladder; deterministic server-side rejections pass
 //!   straight through, since every replica would reject identically.
-//! * Hypothesis ids are *router-assigned*: a `solved` reply is rebound
-//!   to a fresh router id and the winning backend's local id is
-//!   remembered per backend. An `evaluate` landing on a replica with no
-//!   binding re-solves there first — the solver is deterministic and
-//!   the structure text canonical, so the re-solve reproduces the same
-//!   hypothesis — which is what lets an evaluate survive the death of
-//!   the backend that originally learned it.
+//! * Hypothesis ids pass through unchanged: a backend names a
+//!   hypothesis by [`folearn_server::proto::hypothesis_id`] of its
+//!   solve, so every replica names it by the same id. The router keeps
+//!   one table, id → solve request. An `evaluate` landing on a replica
+//!   that does not hold the hypothesis re-solves there and retries once
+//!   — the solver is deterministic and the structure text canonical, so
+//!   the re-solve reproduces the same hypothesis under the same id —
+//!   which is what lets an evaluate survive the death of the backend
+//!   that originally learned it.
 //! * A backend that reports `unknown_structure` for a structure the
 //!   router placed (i.e. it restarted and lost its registry) is
 //!   re-seeded from the router's stored canonical text and the call is
 //!   retried on the spot.
 //! * A background anti-entropy pass (every
 //!   [`RouterConfig::repair_interval`]) sweeps each backend's
-//!   `inventory`, re-seeds structures a replica has lost, and
-//!   replicates hypothesis bindings ahead of need — so a restarted
-//!   backend is repaired before traffic finds the hole, instead of
-//!   every evaluate paying a lazy re-solve.
+//!   `inventory` and re-seeds structures a replica has lost, so a
+//!   restarted backend holds its structures before traffic finds the
+//!   hole. Hypotheses are not replicated ahead of need: `evaluate`,
+//!   their one reader, re-derives a missing one on the spot.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
@@ -57,7 +59,8 @@ use folearn_server::event_loop::{
 use folearn_server::framing::{ConnEvent, ConnLimits};
 use folearn_server::pool::{reply_or_panic, ElasticPool, Job};
 use folearn_server::proto::{
-    fnv1a64, hex64, Json, Request, Response, TraceContext, WireBinding, WireProvenance,
+    fnv1a64, hex64, hypothesis_id, Json, Request, Response, TraceContext, WireBinding,
+    WireProvenance,
 };
 use parking_lot::Mutex;
 
@@ -85,7 +88,6 @@ const STATS_LAYOUT: &[&str] = &[
     "replica_retries",
     "failovers",
     "repairs_performed",
-    "rebinds_avoided",
     "rejected_connections",
     "structures",
     "hypotheses",
@@ -132,10 +134,9 @@ pub struct RouterConfig {
     /// Concurrent front-door connections accepted.
     pub max_connections: usize,
     /// Period of the background anti-entropy pass: the router sweeps
-    /// every backend's `inventory`, re-seeds structures a replica has
-    /// lost, and replicates hypothesis bindings ahead of need. `None`
-    /// disables the pass (repair then happens only lazily, on the
-    /// request path).
+    /// every backend's `inventory` and re-seeds structures a replica
+    /// has lost. `None` disables the pass (structures are then re-seeded
+    /// only lazily, on the request path, as hypotheses always are).
     pub repair_interval: Option<Duration>,
     /// Allow per-solve trace stitching (router spans wrapping each
     /// backend's span subtree). Stitching is on demand: it runs only
@@ -218,17 +219,6 @@ struct StructureEntry {
     replicas: Vec<usize>,
 }
 
-/// A router-assigned hypothesis: which structure it belongs to, the
-/// solve that produced it, and the backend-local ids it is known under.
-struct BoundHyp {
-    structure: u64,
-    /// The original solve request, replayed verbatim to rebind the
-    /// hypothesis on a replica that has never seen it.
-    solve: Request,
-    /// backend index → that backend's local hypothesis id.
-    bindings: HashMap<usize, u64>,
-}
-
 struct RouterState {
     backends: Vec<Backend>,
     ring: HashRing,
@@ -237,8 +227,10 @@ struct RouterState {
     client_config: ClientConfig,
     retry: RetryPolicy,
     structures: Mutex<HashMap<u64, StructureEntry>>,
-    hyps: Mutex<HashMap<u64, BoundHyp>>,
-    next_hyp: AtomicU64,
+    /// Hypothesis id → the solve request that produced it (trace
+    /// context stripped), replayed verbatim to re-derive the hypothesis
+    /// on a replica that lacks it.
+    hyps: Mutex<HashMap<u64, Request>>,
     /// Monotone selection counter driving the ejected-backend probe.
     selection_tick: AtomicU64,
     /// Span/trace id allocator for stitched traces.
@@ -271,6 +263,19 @@ impl RouterState {
         if pool.len() < POOL_KEEP {
             pool.push(client);
         }
+    }
+
+    /// Run `exchange` over a pooled connection to backend `bi`; the
+    /// connection goes back to the pool only if the exchange succeeded.
+    fn with_backend<T>(
+        &self,
+        bi: usize,
+        exchange: impl FnOnce(&mut RetryingClient) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut client = self.checkout(bi)?;
+        let out = exchange(&mut client)?;
+        self.checkin(bi, client);
+        Ok(out)
     }
 
     /// Account one backend call that took `elapsed` and update the
@@ -371,7 +376,6 @@ pub fn start(config: &RouterConfig) -> std::io::Result<RouterHandle> {
         retry: config.retry.clone(),
         structures: Mutex::new(HashMap::new()),
         hyps: Mutex::new(HashMap::new()),
-        next_hyp: AtomicU64::new(1),
         selection_tick: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
         trace_enabled: config.trace,
@@ -484,8 +488,8 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
             }
             Response::Stats { data }
         }
-        // The router's own inventory: its placement table and
-        // router-assigned hypothesis ids. Lets an operator (or an outer
+        // The router's own inventory: its placement table and the
+        // hypothesis ids it has routed. Lets an operator (or an outer
         // router tier) diff the front door the same way the front door
         // diffs its backends.
         Request::Inventory => {
@@ -495,9 +499,9 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
                 .hyps
                 .lock()
                 .iter()
-                .map(|(&id, b)| WireBinding {
+                .map(|(&id, solve)| WireBinding {
                     id,
-                    structure: b.structure,
+                    structure: structure_of(solve),
                 })
                 .collect();
             hypotheses.sort_unstable_by_key(|b| b.id);
@@ -790,58 +794,81 @@ fn placement(state: &Arc<RouterState>, structure: u64, op: &str) -> Result<Struc
 }
 
 /// Retry provenance gathered during a routed call — (backend index,
-/// span name) per re-seed or rebind — shared with the per-attempt call
-/// threads so trace stitching can show the recovery work.
+/// span name) per re-seed — shared with the per-attempt call threads
+/// so trace stitching can show the recovery work.
 type EventLog = Arc<Mutex<Vec<(usize, &'static str)>>>;
 
 /// One backend exchange, re-seeding the backend's registry if it
 /// restarted and forgot a structure the router placed on it.
 fn call_with_reseed(
-    state: &Arc<RouterState>,
+    client: &mut RetryingClient,
     bi: usize,
     req: &Request,
     graph_text: &str,
     events: &EventLog,
 ) -> Result<Response, ClientError> {
-    let mut client = state.checkout(bi)?;
-    let mut resp = client.call(req);
-    if is_unknown_structure(&resp) {
-        events.lock().push((bi, "router.reseed"));
-        client.register(graph_text)?;
-        resp = client.call(req);
+    let resp = client.call(req);
+    if error_code(&resp) != Some("unknown_structure") {
+        return resp;
     }
-    let resp = resp?;
-    state.checkin(bi, client);
-    Ok(resp)
+    events.lock().push((bi, "router.reseed"));
+    client.register(graph_text)?;
+    client.call(req)
 }
 
-fn is_unknown_structure(r: &Result<Response, ClientError>) -> bool {
-    matches!(
-        r,
-        Err(ClientError::Server {
-            code: Some(c),
-            ..
-        }) if c == "unknown_structure"
-    )
+/// Solve on backend `bi`, which must name the answer by its content
+/// address `id`. A backend that names it otherwise (a build that
+/// numbers hypotheses with a counter) fails the attempt, so the ladder
+/// moves on instead of the router filing the answer under a foreign id.
+fn solve_on(
+    client: &mut RetryingClient,
+    bi: usize,
+    solve: &Request,
+    id: u64,
+    graph_text: &str,
+    events: &EventLog,
+) -> Result<Response, ClientError> {
+    match call_with_reseed(client, bi, solve, graph_text, events)? {
+        Response::Solved(outcome) if outcome.hypothesis.id == id => Ok(Response::Solved(outcome)),
+        other => Err(ClientError::Unexpected(format!(
+            "wanted hypothesis {}, got `{}`",
+            hex64(id),
+            other.encode()
+        ))),
+    }
 }
 
-fn is_stale_binding(r: &Result<Response, ClientError>) -> bool {
-    matches!(
-        r,
-        Err(ClientError::Server {
-            code: Some(c),
-            ..
-        }) if c == "unknown_structure" || c == "unknown_hypothesis"
-    )
+/// The machine-readable class of a server-side rejection, if any.
+fn error_code(r: &Result<Response, ClientError>) -> Option<&str> {
+    match r {
+        Err(ClientError::Server { code: Some(c), .. }) => Some(c),
+        _ => None,
+    }
+}
+
+/// The structure a stored solve request was made on.
+fn structure_of(solve: &Request) -> u64 {
+    match solve {
+        Request::Solve { structure, .. } => *structure,
+        _ => unreachable!("the hypothesis table holds solve requests only"),
+    }
 }
 
 fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
-    let (structure, client_trace) = match &req {
-        Request::Solve {
-            structure, trace, ..
-        } => (*structure, *trace),
-        _ => unreachable!("handle_solve is dispatched on Request::Solve"),
+    let Request::Solve {
+        structure,
+        examples,
+        ell,
+        q,
+        epsilon,
+        solver,
+        trace: client_trace,
+    } = &req
+    else {
+        unreachable!("handle_solve is dispatched on Request::Solve")
     };
+    let (structure, client_trace) = (*structure, *client_trace);
+    let id = hypothesis_id(structure, examples, *ell, *q, *epsilon, solver);
     let entry = match placement(state, structure, "solve") {
         Ok(e) => e,
         Err(resp) => return resp,
@@ -867,37 +894,24 @@ fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
     let graph_text = entry.graph_text.clone();
     let started = Instant::now();
     let winner = hedged_call(state, &candidates, move |state, bi| {
-        call_with_reseed(state, bi, &fwd, &graph_text, &events_for_op)
+        state.with_backend(bi, |c| solve_on(c, bi, &fwd, id, &graph_text, &events_for_op))
     });
     match winner {
         Ok(w) => {
             let prov = provenance(state, &w);
             let Winner {
-                response,
-                attempts,
-                backend,
-                ..
+                response, attempts, ..
             } = w;
             match response {
                 Response::Solved(mut outcome) => {
                     state.metrics.series(|s| s.record_cache(outcome.cached));
-                    let backend_id = outcome.hypothesis.id;
-                    let router_id = state.next_hyp.fetch_add(1, Ordering::SeqCst);
                     // The stored replay request carries no trace context:
-                    // a later rebind is its own story, not this solve's.
-                    let mut solve_for_bind = req;
-                    if let Request::Solve { trace, .. } = &mut solve_for_bind {
+                    // a later re-solve is its own story, not this solve's.
+                    let mut solve = req;
+                    if let Request::Solve { trace, .. } = &mut solve {
                         *trace = None;
                     }
-                    state.hyps.lock().insert(
-                        router_id,
-                        BoundHyp {
-                            structure,
-                            solve: solve_for_bind,
-                            bindings: HashMap::from([(backend, backend_id)]),
-                        },
-                    );
-                    outcome.hypothesis.id = router_id;
+                    state.hyps.lock().insert(id, solve);
                     if want_trace {
                         let backend_trace = outcome.trace.take();
                         outcome.trace = Some(stitch_trace(
@@ -924,8 +938,8 @@ fn handle_solve(state: &Arc<RouterState>, req: Request) -> Response {
 
 /// Build the router's stitched span tree for one solve: a
 /// `router.solve` root whose children are every launched attempt (the
-/// winner carrying the backend's own span subtree) plus any re-seed /
-/// rebind retries, each tagged with provenance meta. Provenance rides
+/// winner carrying the backend's own span subtree) plus any re-seed
+/// retries, each tagged with provenance meta. Provenance rides
 /// in `meta` only — `span_from_json` rejects unknown counter names, so
 /// the stitched tree must stay parseable by the standard importer.
 ///
@@ -1079,7 +1093,7 @@ fn handle_modelcheck(state: &Arc<RouterState>, req: Request) -> Response {
     let graph_text = entry.graph_text.clone();
     let events: EventLog = Arc::new(Mutex::new(Vec::new()));
     let winner = hedged_call(state, &candidates, move |state, bi| {
-        call_with_reseed(state, bi, &req, &graph_text, &events)
+        state.with_backend(bi, |c| call_with_reseed(c, bi, &req, &graph_text, &events))
     });
     match winner {
         Ok(w) => {
@@ -1103,17 +1117,13 @@ fn handle_evaluate(
     tuples: Vec<Vec<u32>>,
     labels: Option<Vec<bool>>,
 ) -> Response {
-    let bound = {
-        let hyps = state.hyps.lock();
-        hyps.get(&hypothesis).map(|b| (b.structure, b.solve.clone()))
-    };
-    let Some((h_structure, solve_req)) = bound else {
+    let Some(solve) = state.hyps.lock().get(&hypothesis).cloned() else {
         return Response::error_coded(
             "unknown_hypothesis",
             format!("evaluate: unknown hypothesis {}", hex64(hypothesis)),
         );
     };
-    if h_structure != structure {
+    if structure_of(&solve) != structure {
         return Response::error("evaluate: hypothesis was learned on a different structure");
     }
     let entry = match placement(state, structure, "evaluate") {
@@ -1122,11 +1132,15 @@ fn handle_evaluate(
     };
     let candidates = state.candidates(&entry.replicas);
     let graph_text = entry.graph_text.clone();
+    let eval = Request::Evaluate {
+        structure,
+        hypothesis,
+        tuples,
+        labels,
+    };
     let events: EventLog = Arc::new(Mutex::new(Vec::new()));
     let winner = hedged_call(state, &candidates, move |state, bi| {
-        evaluate_on(
-            state, bi, hypothesis, structure, &solve_req, &graph_text, &tuples, &labels, &events,
-        )
+        evaluate_on(state, bi, hypothesis, &eval, &solve, &graph_text, &events)
     });
     match winner {
         Ok(w) => {
@@ -1144,81 +1158,30 @@ fn handle_evaluate(
     }
 }
 
-/// Evaluate a router hypothesis on one backend, creating the
-/// backend-local binding first if this replica has never solved it.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate hypothesis `id` on backend `bi`. A backend that does not
+/// hold it (it never learned it, or restarted without durable state) is
+/// sent the original solve first — which must reproduce `id`, the
+/// solver being deterministic — and the evaluate is retried once.
 fn evaluate_on(
     state: &Arc<RouterState>,
     bi: usize,
-    router_id: u64,
-    structure: u64,
-    solve_req: &Request,
+    id: u64,
+    eval: &Request,
+    solve: &Request,
     graph_text: &str,
-    tuples: &[Vec<u32>],
-    labels: &Option<Vec<bool>>,
     events: &EventLog,
 ) -> Result<Response, ClientError> {
-    let mut client = state.checkout(bi)?;
-    let binding = {
-        let hyps = state.hyps.lock();
-        hyps.get(&router_id).and_then(|b| b.bindings.get(&bi).copied())
-    };
-    let backend_hyp = match binding {
-        Some(id) => id,
-        None => rebind(state, &mut client, bi, router_id, solve_req, graph_text, events)?,
-    };
-    let eval = |hyp: u64| Request::Evaluate {
-        structure,
-        hypothesis: hyp,
-        tuples: tuples.to_vec(),
-        labels: labels.clone(),
-    };
-    let mut resp = client.call(&eval(backend_hyp));
-    if is_stale_binding(&resp) {
-        // The backend restarted between binding and call: re-seed the
-        // structure, re-solve, and retry with the fresh id.
-        let fresh = rebind(state, &mut client, bi, router_id, solve_req, graph_text, events)?;
-        resp = client.call(&eval(fresh));
-    }
-    let resp = resp?;
-    state.checkin(bi, client);
-    Ok(resp)
-}
-
-/// Replay the original solve on backend `bi` to obtain a local id for a
-/// router hypothesis. Deterministic solver + canonical structure text
-/// mean the replay reproduces the original hypothesis exactly (and the
-/// backend's result cache makes repeats cheap).
-#[allow(clippy::too_many_arguments)]
-fn rebind(
-    state: &Arc<RouterState>,
-    client: &mut RetryingClient,
-    bi: usize,
-    router_id: u64,
-    solve_req: &Request,
-    graph_text: &str,
-    events: &EventLog,
-) -> Result<u64, ClientError> {
-    events.lock().push((bi, "router.rebind"));
-    let mut resp = client.call(solve_req);
-    if is_unknown_structure(&resp) {
-        events.lock().push((bi, "router.reseed"));
-        client.register(graph_text)?;
-        resp = client.call(solve_req);
-    }
-    match resp? {
-        Response::Solved(outcome) => {
-            let id = outcome.hypothesis.id;
-            if let Some(b) = state.hyps.lock().get_mut(&router_id) {
-                b.bindings.insert(bi, id);
-            }
-            Ok(id)
+    state.with_backend(bi, |client| {
+        let resp = client.call(eval);
+        if !matches!(
+            error_code(&resp),
+            Some("unknown_hypothesis" | "unknown_structure")
+        ) {
+            return resp;
         }
-        other => Err(ClientError::Unexpected(format!(
-            "wanted `solved` while rebinding, got `{}`",
-            other.encode()
-        ))),
-    }
+        solve_on(client, bi, solve, id, graph_text, events)?;
+        client.call(eval)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1226,16 +1189,11 @@ fn rebind(
 // ---------------------------------------------------------------------
 
 /// One anti-entropy sweep over every backend: fetch its `inventory`,
-/// diff it against the router's placement tables, and close the gap.
-///
-/// * A structure placed on the backend but missing from its inventory
-///   (it restarted without durable state) is re-seeded from the stored
-///   canonical text — counted as `repairs_performed`.
-/// * A hypothesis whose structure is placed on the backend but which is
-///   unbound there — or bound to a local id the backend no longer
-///   knows — is re-solved proactively, counted as `rebinds_avoided`:
-///   each binding replicated here is one lazy evaluate-time re-solve
-///   that will now never happen.
+/// diff its structures against the router's placement table, and
+/// re-seed any structure placed on the backend but missing from it (it
+/// restarted without durable state) from the stored canonical text —
+/// counted as `repairs_performed`. Hypotheses are left to `evaluate`,
+/// which re-derives a missing one on demand.
 ///
 /// The sweep doubles as an active health probe: transport failures
 /// strike the backend's health, and a successful exchange restores an
@@ -1243,34 +1201,18 @@ fn rebind(
 /// old to speak `inventory` answers with a server-side error; it is
 /// skipped without a strike — alive, just not repairable.
 fn repair_pass(state: &Arc<RouterState>) {
-    // Snapshot the tables outside any backend I/O so a slow backend
-    // never holds the request path's locks: structures indexed by hash,
-    // and every hypothesis with its bindings, each under one lock.
+    // Snapshot the table outside any backend I/O so a slow backend
+    // never holds the request path's locks.
     let structures: HashMap<u64, StructureEntry> = state.structures.lock().clone();
-    let hyps: Vec<HypSnapshot> = state
-        .hyps
-        .lock()
-        .iter()
-        .map(|(&id, b)| (id, b.structure, b.bindings.clone()))
-        .collect();
     for bi in 0..state.backends.len() {
-        repair_backend(state, bi, &structures, &hyps);
+        repair_backend(state, bi, &structures);
     }
 }
-
-/// One hypothesis as a repair pass sees it: router id, structure, and
-/// backend index → backend-local id.
-type HypSnapshot = (u64, u64, HashMap<usize, u64>);
 
 /// Diff-and-repair one backend; see [`repair_pass`]. Stops at the first
 /// transport failure — the connection's state is unknown past it, and
 /// the next sweep picks up where this one left off.
-fn repair_backend(
-    state: &Arc<RouterState>,
-    bi: usize,
-    structures: &HashMap<u64, StructureEntry>,
-    hyps: &[HypSnapshot],
-) {
+fn repair_backend(state: &Arc<RouterState>, bi: usize, structures: &HashMap<u64, StructureEntry>) {
     let started = Instant::now();
     let mut client = match state.checkout(bi) {
         Ok(c) => c,
@@ -1279,8 +1221,8 @@ fn repair_backend(
             return;
         }
     };
-    let (have_structures, have_hyps) = match client.inventory() {
-        Ok(inv) => inv,
+    let have: HashSet<u64> = match client.inventory() {
+        Ok((structures, _)) => structures.into_iter().collect(),
         Err(ClientError::Server { .. }) => {
             // Pre-inventory backend: a clean protocol exchange, so it
             // is alive — no strike, nothing to diff.
@@ -1294,55 +1236,15 @@ fn repair_backend(
         }
     };
     state.note_result(bi, true, started.elapsed());
-    let have_structures: HashSet<u64> = have_structures.into_iter().collect();
-    let have_ids: HashSet<u64> = have_hyps.iter().map(|b| b.id).collect();
 
     for (hash, entry) in structures {
-        if !entry.replicas.contains(&bi) || have_structures.contains(hash) {
+        if !entry.replicas.contains(&bi) || have.contains(hash) {
             continue;
         }
         let started = Instant::now();
         match client.register(&entry.graph_text) {
             Ok(_) => {
                 state.metrics.add("repairs_performed", 1);
-                state.note_result(bi, true, started.elapsed());
-            }
-            Err(e) => {
-                state.note_result(bi, !is_transport(&e), started.elapsed());
-                return;
-            }
-        }
-    }
-
-    let events: EventLog = Arc::new(Mutex::new(Vec::new()));
-    for (router_id, structure, bindings) in hyps {
-        let Some(entry) = structures.get(structure) else {
-            continue;
-        };
-        if !entry.replicas.contains(&bi) {
-            continue;
-        }
-        // A binding to a local id the backend still knows is healthy —
-        // notably a durable backend that replayed its WAL keeps its
-        // ids, so its bindings survive a restart untouched.
-        if bindings.get(&bi).is_some_and(|id| have_ids.contains(id)) {
-            continue;
-        }
-        let Some(solve_req) = state.hyps.lock().get(router_id).map(|b| b.solve.clone()) else {
-            continue;
-        };
-        let started = Instant::now();
-        match rebind(
-            state,
-            &mut client,
-            bi,
-            *router_id,
-            &solve_req,
-            &entry.graph_text,
-            &events,
-        ) {
-            Ok(_) => {
-                state.metrics.add("rebinds_avoided", 1);
                 state.note_result(bi, true, started.elapsed());
             }
             Err(e) => {

@@ -9,6 +9,8 @@
 //! answers by `(type_keys, params, q)`, which agree across replicas.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use folearn_cluster::{start as start_router, RouterConfig, RouterHandle};
@@ -17,9 +19,9 @@ use folearn_hardness::oracle::{BruteForceOracle, RemoteOracle};
 use folearn_hardness::reduction::{model_check_via_erm, ReductionReport};
 use folearn_logic::parse;
 use folearn_server::{
-    start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi, ClientConfig,
-    ClientError, Direction, FaultKind, Json, Request, Response, RetryPolicy, ServerConfig,
-    ServerHandle, SolverSpec, WireExample,
+    hex64, hypothesis_id, start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi,
+    ClientConfig, ClientError, Direction, FaultKind, Json, Request, Response, RetryPolicy,
+    ServerConfig, ServerHandle, SolverSpec, WireExample,
 };
 use folearn_obs::PowHistogram;
 
@@ -282,7 +284,7 @@ fn front_door_speaks_the_protocol_with_cluster_extensions() {
     }
 
     // Solve: the reply carries provenance naming a real backend, and the
-    // hypothesis id is router-assigned and usable.
+    // hypothesis id is usable through the router.
     let examples = vec![
         WireExample {
             tuple: vec![0],
@@ -303,7 +305,7 @@ fn front_door_speaks_the_protocol_with_cluster_extensions() {
         "canonical keys ride along"
     );
 
-    // Evaluate against the router id.
+    // Evaluate against that id.
     let tuples: Vec<Vec<u32>> = (0..8).map(|v| vec![v]).collect();
     let (preds, _) = c
         .evaluate(structure, outcome.hypothesis.id, tuples, None)
@@ -385,40 +387,35 @@ fn anti_entropy_repairs_a_restarted_backend() {
         .expect("evaluate");
 
     // The dead replica comes up empty. The router's anti-entropy pass
-    // must notice, re-seed the structure, and replicate the hypothesis
-    // binding — all without any client traffic demanding it.
+    // must notice and re-seed the structure without any client traffic
+    // demanding it.
     let late = start_server(&ServerConfig {
         addr: late_addr.clone(),
         ..ServerConfig::default()
     })
     .expect("late backend binds the reserved address");
 
-    let (mut repairs, mut avoided) = (0, 0);
+    let mut repairs = 0;
     for _ in 0..100 {
         let stats = c.stats().expect("router stats");
         repairs = stats.get("repairs_performed").unwrap().as_usize().unwrap();
-        avoided = stats.get("rebinds_avoided").unwrap().as_usize().unwrap();
-        if repairs >= 1 && avoided >= 1 {
+        if repairs >= 1 {
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(repairs >= 1, "the lost structure was never re-seeded");
-    assert!(avoided >= 1, "the hypothesis binding was never replicated");
 
-    // The repaired backend really holds the state: ask it directly.
+    // The repaired backend really holds the structure: ask it directly.
     let mut direct = Client::connect(late.addr()).expect("connect to repaired backend");
-    let (structures, hyps) = direct.inventory().expect("inventory");
+    let (structures, _) = direct.inventory().expect("inventory");
     assert!(
         structures.contains(&structure),
         "repaired backend lacks the structure"
     );
-    assert!(
-        hyps.iter().any(|b| b.structure == structure),
-        "repaired backend lacks the replicated hypothesis"
-    );
 
-    // And the cluster still answers identically through the front door.
+    // And the cluster still answers identically through the front door
+    // (a replica without the hypothesis re-derives it on the spot).
     let (after, _) = c
         .evaluate(structure, outcome.hypothesis.id, tuples, None)
         .expect("evaluate after repair");
@@ -470,6 +467,188 @@ fn evaluate_rebinds_after_the_learning_backend_dies() {
     assert_eq!(before, after, "rebound hypothesis predicts differently");
 
     router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// One answer, one id: 200 identical solves through a replicated router
+/// all return the content-addressed id — the same one a backend gives a
+/// direct solve — and leave one hypothesis in the router's table. The
+/// anti-entropy sweeps that follow replicate nothing.
+#[test]
+fn identical_routed_solves_share_one_content_addressed_id() {
+    let (addrs, by_addr) = spawn_backends(3);
+    let router = start_router(&RouterConfig {
+        backends: addrs,
+        replicas: 2,
+        client: ClientConfig::with_deadline(Duration::from_secs(5)),
+        repair_interval: Some(Duration::from_millis(50)),
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    let mut c = Client::connect(router.addr()).expect("client connects");
+    let structure = c
+        .register(&io::to_text(&colored_path(8, 4)))
+        .expect("register");
+    let examples = vec![
+        WireExample {
+            tuple: vec![0],
+            label: false,
+        },
+        WireExample {
+            tuple: vec![4],
+            label: true,
+        },
+    ];
+    let spec = SolverSpec::default_brute();
+    let id = hypothesis_id(structure, &examples, 1, 0, 0.25, &spec);
+
+    let mut ids = std::collections::HashSet::new();
+    let mut learner = String::new();
+    for _ in 0..200 {
+        let o = c
+            .solve(structure, examples.clone(), 1, 0, 0.25, spec.clone())
+            .expect("routed solve");
+        ids.insert(o.hypothesis.id);
+        learner = o.provenance.expect("provenance").backend;
+    }
+    assert_eq!(
+        ids.into_iter().collect::<Vec<_>>(),
+        [id],
+        "one id per answer"
+    );
+    let direct = Client::connect(&learner)
+        .expect("connect to a replica")
+        .solve(structure, examples, 1, 0, 0.25, spec)
+        .expect("direct solve");
+    assert_eq!(direct.hypothesis.id, id, "a direct solve names the same id");
+    let stats = c.stats().expect("router stats");
+    assert_eq!(num_at(&stats, &["hypotheses"]), 1);
+
+    // Wait for three more sweeps (each one asks every backend for its
+    // inventory), then look at what each backend holds.
+    let swept = |h: &ServerHandle| {
+        let stats = Client::connect(h.addr())
+            .expect("connect")
+            .stats()
+            .expect("stats");
+        num_at(&stats, &["endpoints", "inventory", "count"])
+    };
+    let before: Vec<usize> = by_addr.values().map(swept).collect();
+    for _ in 0..200 {
+        if by_addr
+            .values()
+            .zip(&before)
+            .all(|(h, &b)| swept(h) >= b + 3)
+        {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    for ((addr, h), b) in by_addr.iter().zip(before) {
+        assert!(swept(h) >= b + 3, "{addr} was not swept three times");
+        let (_, hyps) = Client::connect(h.addr())
+            .expect("connect")
+            .inventory()
+            .expect("inventory");
+        assert!(hyps.len() <= 1, "{addr} holds {} hypotheses", hyps.len());
+        assert!(hyps.iter().all(|b| b.id == id), "{addr}: {hyps:?}");
+    }
+
+    router.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// A stand-in for a backend built before ids were content addresses:
+/// it relays every frame to `upstream` but renumbers each `solved`
+/// reply from a counter, the way such a build named its hypotheses.
+fn counter_id_backend(upstream: std::net::SocketAddr) -> std::net::SocketAddr {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let next = Arc::new(AtomicU64::new(1));
+    std::thread::spawn(move || {
+        for down in listener.incoming() {
+            let (Ok(down), Ok(up)) = (down, std::net::TcpStream::connect(upstream)) else {
+                return;
+            };
+            let (mut up_w, mut down_r) = (up.try_clone().unwrap(), down.try_clone().unwrap());
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut down_r, &mut up_w);
+                let _ = up_w.shutdown(std::net::Shutdown::Write);
+            });
+            let next = Arc::clone(&next);
+            std::thread::spawn(move || {
+                let mut down = down;
+                for line in BufReader::new(up).lines() {
+                    let Ok(mut line) = line else { break };
+                    if let Ok(Response::Solved(mut o)) = Response::decode(&line) {
+                        o.hypothesis.id = next.fetch_add(1, Ordering::SeqCst);
+                        line = Response::Solved(o).encode();
+                    }
+                    if writeln!(down, "{line}").is_err() {
+                        break;
+                    }
+                }
+                let _ = down.shutdown(std::net::Shutdown::Both);
+            });
+        }
+    });
+    addr
+}
+
+/// The router files an answer only under its content address: a backend
+/// that names it otherwise fails the attempt — alone, the solve errors;
+/// beside a current replica, the ladder fails over to it.
+#[test]
+fn a_backend_that_renumbers_solves_cannot_rename_a_routed_answer() {
+    let (addrs, by_addr) = spawn_backends(2);
+    let legacy = counter_id_backend(addrs[0].parse().expect("backend addr")).to_string();
+    let spec = SolverSpec::default_brute();
+    let sample = |i: u32| {
+        vec![
+            WireExample {
+                tuple: vec![i],
+                label: true,
+            },
+            WireExample {
+                tuple: vec![i + 1],
+                label: false,
+            },
+        ]
+    };
+
+    let lone = router_over(vec![legacy.clone()], 1);
+    let mut c = Client::connect(lone.addr()).expect("client connects");
+    let structure = c
+        .register(&io::to_text(&colored_path(8, 4)))
+        .expect("register");
+    let id = hypothesis_id(structure, &sample(0), 1, 0, 0.25, &spec);
+    let err = c
+        .solve(structure, sample(0), 1, 0, 0.25, spec.clone())
+        .expect_err("a renumbered answer is not served");
+    assert!(err.to_string().contains(&hex64(id)), "{err}");
+    assert_eq!(num_at(&c.stats().expect("stats"), &["hypotheses"]), 0);
+    lone.shutdown();
+
+    let mixed = router_over(vec![legacy, addrs[1].clone()], 2);
+    let mut c = Client::connect(mixed.addr()).expect("client connects");
+    for n in 6..10 {
+        let structure = c
+            .register(&io::to_text(&colored_path(n, 3)))
+            .expect("register");
+        let o = c
+            .solve(structure, sample(1), 1, 0, 0.25, spec.clone())
+            .expect("the solve fails over to the current replica");
+        assert_eq!(
+            o.hypothesis.id,
+            hypothesis_id(structure, &sample(1), 1, 0, 0.25, &spec)
+        );
+    }
+    mixed.shutdown();
     for (_, h) in by_addr {
         h.shutdown();
     }
@@ -724,7 +903,7 @@ fn router_counts_its_front_door_connection_lifecycle() {
 /// one `write`: router connections are request/reply, so each request
 /// takes effect before the next is read, and the three replies come
 /// back correct and in order. The evaluate names the hypothesis id the
-/// solve will be given — the first id a fresh router assigns.
+/// solve will be given, computed client-side from the request.
 #[test]
 fn pipelined_register_solve_evaluate_window_is_answered_in_order() {
     use std::io::{BufRead, BufReader, Write};
@@ -742,6 +921,7 @@ fn pipelined_register_solve_evaluate_window_is_answered_in_order() {
             label: true,
         },
     ];
+    let id = hypothesis_id(structure, &examples, 1, 0, 0.25, &SolverSpec::default_brute());
     let window = [
         Request::Register { graph_text: text },
         Request::Solve {
@@ -755,7 +935,7 @@ fn pipelined_register_solve_evaluate_window_is_answered_in_order() {
         },
         Request::Evaluate {
             structure,
-            hypothesis: 1,
+            hypothesis: id,
             tuples: vec![vec![0], vec![4]],
             labels: Some(vec![false, true]),
         },
@@ -785,7 +965,7 @@ fn pipelined_register_solve_evaluate_window_is_answered_in_order() {
     }
     match reply() {
         Response::Solved(outcome) => {
-            assert_eq!(outcome.hypothesis.id, 1);
+            assert_eq!(outcome.hypothesis.id, id);
             assert_eq!(outcome.error, 0.0);
         }
         other => panic!("reply 2: expected solved, got {other:?}"),

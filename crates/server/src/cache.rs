@@ -1,7 +1,8 @@
 //! The LRU result cache.
 //!
 //! Solve results are keyed by `(structure hash, sample hash, solver
-//! config hash)` — exactly the identity of a repeated ERM oracle call,
+//! config hash)` ([`crate::proto::solve_key`], whose digest is the
+//! hypothesis id) — exactly the identity of a repeated ERM oracle call,
 //! which is the access pattern of `folearn_hardness::oracle` (the
 //! reduction re-queries the same pair instances across levels) and of
 //! any client re-fitting against a fixed background structure. A hit

@@ -287,8 +287,9 @@ pub trait ClientApi {
     }
 
     /// Fetch the daemon's content inventory: sorted structure hashes
-    /// plus sorted `(hypothesis id, structure)` bindings. The router's
-    /// anti-entropy pass diffs this against expected placement.
+    /// plus sorted `(hypothesis id, structure)` pairs. The router's
+    /// anti-entropy pass diffs the structures against expected
+    /// placement.
     fn inventory(
         &mut self,
     ) -> Result<(Vec<u64>, Vec<crate::proto::WireBinding>), ClientError> {

@@ -40,7 +40,8 @@
 //! oracle a process boundary, so learners can run on a different
 //! machine or with different resource limits than the reduction, and
 //! (b) makes repeated instances visible to a result cache keyed by
-//! `(structure, sample, solver config)` — and because the brute-force
+//! the hash of `(structure, sample, solver config)`, which is also the
+//! hypothesis id ([`proto::hypothesis_id`]) — and because the brute-force
 //! engine is deterministic, cached answers are *identical* to fresh
 //! ones, so `folearn_hardness::oracle::RemoteOracle` against a loopback
 //! daemon reproduces the in-process reduction bit for bit.
@@ -63,7 +64,7 @@ pub use client::{
 };
 pub use loadgen::{run_load, run_load_multi, LoadgenConfig, LoadReport};
 pub use proto::{
-    fnv1a64, hex64, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome, SolverSpec,
+    fnv1a64, hex64, hypothesis_id, parse_hex64, Json, ProtoError, Request, Response, SolveOutcome, SolverSpec,
     TraceContext, WireBinding, WireExample, WireHypothesis, WireProvenance,
 };
 pub use server::{start, ServerConfig, ServerHandle};

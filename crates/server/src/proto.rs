@@ -33,6 +33,53 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The id of the hypothesis a solve produces: the FNV-1a digest of its
+/// [`solve_key`]. The learners are deterministic, so this one hash
+/// names the answer on every daemon, every replica and across restarts.
+/// The trace context is not part of it: tracing never changes answers.
+pub fn hypothesis_id(
+    structure: u64,
+    examples: &[WireExample],
+    ell: usize,
+    q: usize,
+    epsilon: f64,
+    solver: &SolverSpec,
+) -> u64 {
+    key_id(solve_key(structure, examples, ell, q, epsilon, solver))
+}
+
+/// The identity of a solve, `(structure hash, sample hash, solver
+/// config hash)`: the key of the result cache. The sample hash covers
+/// the examples and `(ℓ, q, ε)`; the config hash is that of the
+/// solver's canonical wire form.
+pub(crate) fn solve_key(
+    structure: u64,
+    examples: &[WireExample],
+    ell: usize,
+    q: usize,
+    epsilon: f64,
+    solver: &SolverSpec,
+) -> (u64, u64, u64) {
+    let mut bytes = Vec::new();
+    for e in examples {
+        bytes.extend_from_slice(&(e.tuple.len() as u32).to_le_bytes());
+        for &v in &e.tuple {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.push(u8::from(e.label));
+    }
+    bytes.extend_from_slice(&(ell as u64).to_le_bytes());
+    bytes.extend_from_slice(&(q as u64).to_le_bytes());
+    bytes.extend_from_slice(&epsilon.to_bits().to_le_bytes());
+    let config = fnv1a64(solver.to_json().render().as_bytes());
+    (structure, fnv1a64(&bytes), config)
+}
+
+/// The hypothesis id a [`solve_key`] names.
+pub(crate) fn key_id((structure, sample, config): (u64, u64, u64)) -> u64 {
+    fnv1a64(&[structure.to_le_bytes(), sample.to_le_bytes(), config.to_le_bytes()].concat())
+}
+
 /// Render a 64-bit id as the fixed-width hex string used on the wire.
 pub fn hex64(x: u64) -> String {
     format!("{x:016x}")
@@ -256,7 +303,8 @@ pub enum Request {
     Evaluate {
         /// Content hash of the registered structure to evaluate over.
         structure: u64,
-        /// Server-assigned hypothesis id (from a `solved` response).
+        /// Hypothesis id from a `solved` response (the
+        /// [`hypothesis_id`] of its solve).
         hypothesis: u64,
         /// Tuples to classify.
         tuples: Vec<Vec<u32>>,
@@ -276,10 +324,10 @@ pub enum Request {
     },
     /// Fetch the metrics snapshot.
     Stats,
-    /// Fetch the daemon's content inventory: which structures it holds
-    /// and which hypotheses it has bound to them. The anti-entropy
-    /// repair pass diffs this against the router's placement to re-seed
-    /// only what a crashed-and-restarted backend actually lost.
+    /// Fetch the daemon's content inventory: which structures and which
+    /// hypotheses it holds. The anti-entropy repair pass diffs the
+    /// structures against the router's placement to re-seed only what a
+    /// crashed-and-restarted backend actually lost.
     Inventory,
     /// Ask the daemon to shut down gracefully.
     Shutdown,
@@ -523,7 +571,8 @@ pub struct SolveOutcome {
 /// replica answered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireHypothesis {
-    /// Server-assigned id for follow-up `evaluate` calls.
+    /// Id for follow-up `evaluate` calls: the [`hypothesis_id`] of the
+    /// solve, the same on every daemon.
     pub id: u64,
     /// The parameter tuple `w̄`.
     pub params: Vec<u32>,
@@ -606,11 +655,11 @@ impl WireProvenance {
     }
 }
 
-/// One hypothesis binding in an `inventory` reply: the server-assigned
-/// id and the content hash of the structure it was learned on.
+/// One hypothesis in an `inventory` reply: its id and the content hash
+/// of the structure it was learned on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireBinding {
-    /// Server-assigned hypothesis id.
+    /// Hypothesis id ([`hypothesis_id`] of its solve).
     pub id: u64,
     /// Content hash of the structure the hypothesis lives on.
     pub structure: u64,
@@ -692,7 +741,7 @@ pub enum Response {
     Inventory {
         /// Content hashes of registered structures, sorted.
         structures: Vec<u64>,
-        /// Hypothesis bindings `(id, structure)`, sorted by id.
+        /// Hypotheses `(id, structure)`, sorted by id.
         hypotheses: Vec<WireBinding>,
     },
     /// Any request-level failure.

@@ -32,7 +32,12 @@
 //! registry, the hypothesis store, and the LRU result cache are
 //! sharded by a splitmix64 finalizer over those content hashes
 //! ([`crate::cache::ShardedMap`] / [`crate::cache::ShardedCache`]), so
-//! concurrent requests stop serializing on one lock. Type arenas are
+//! concurrent requests stop serializing on one lock. Hypotheses are
+//! content-addressed too: a solve's id is [`hypothesis_id`] of its
+//! request — the digest of the [`solve_key`] that keys the result cache
+//! and the in-flight table — and keys the store, so a repeat solve
+//! (here, on a replica, or after a restart) names the same hypothesis
+//! by the same id. Type arenas are
 //! shared per vocabulary colour count — the same discipline as
 //! `folearn_hardness::oracle::BruteForceOracle` — which makes type ids
 //! (and hence the `types` lists in `solved` responses) comparable
@@ -42,7 +47,6 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,8 +68,8 @@ use crate::event_loop::{
 use crate::framing::{ConnEvent, ConnLimits};
 use crate::pool::{reply_or_panic, Job, TrySubmit, WorkerPool};
 use crate::proto::{
-    fnv1a64, hex64, Json, Request, Response, SolveOutcome, SolverSpec, TraceContext, WireBinding,
-    WireExample, WireHypothesis,
+    fnv1a64, hex64, hypothesis_id, key_id, solve_key, Json, Request, Response, SolveOutcome,
+    SolverSpec, TraceContext, WireBinding, WireExample, WireHypothesis,
 };
 use crate::snapshot::{Durability, DurableRecord, DEFAULT_SNAPSHOT_EVERY};
 
@@ -195,7 +199,6 @@ struct State {
     graphs: ShardedMap<Arc<Graph>>,
     arenas: Mutex<HashMap<usize, SharedArena>>,
     hypotheses: ShardedMap<Arc<StoredHypothesis>>,
-    next_hypothesis: AtomicU64,
     /// Solve results plus the instant each entry was captured, so a
     /// replayed trace can be stamped with its age.
     cache: ShardedCache<(SolveOutcome, Instant)>,
@@ -226,7 +229,6 @@ impl State {
             graphs: ShardedMap::new(shards),
             arenas: Mutex::new(HashMap::new()),
             hypotheses: ShardedMap::new(shards),
-            next_hypothesis: AtomicU64::new(1),
             cache: ShardedCache::new(config.cache_capacity, shards),
             inflight: Mutex::new(HashMap::new()),
             metrics: Registry::new("server", STATS_LAYOUT),
@@ -376,21 +378,19 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 /// Replay the durable history of `dir` into a freshly built state,
 /// then activate the WAL for new mutations.
 ///
-/// Replay runs single-threaded before any core thread exists, which is
-/// what makes id forcing sound: each logged solve stores its recorded
-/// id into `next_hypothesis` so the `fetch_add` inside [`run_solve`]
-/// hands back exactly the pre-crash id, even though concurrent solves
-/// may have been *logged* in completion order rather than id order.
 /// Replayed solves run through the same [`plan_solve`]/[`run_solve`]
-/// path as live traffic (minus the cache short-circuit, so a re-logged
-/// key after an LRU eviction still reconstructs both store entries),
-/// so arenas, type keys, and the result cache warm exactly as they
-/// stood — recovered state is bit-identical, not merely equivalent.
+/// path as live traffic, so arenas, type keys, the store and the result
+/// cache warm exactly as they stood: recovered state is bit-identical,
+/// not merely equivalent. Each solve's id is re-derived from its
+/// request, so a key logged twice names one hypothesis. A record whose
+/// `id` differs from that re-derivation — written by a build that
+/// numbered hypotheses with a counter — keeps its logged id answering
+/// as an alias of the derived one (and says so on stderr, naming both),
+/// so a client holding the old name is not cut off by an upgrade.
 fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> std::io::Result<()> {
     let started = Instant::now();
     let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
     let (durability, records, stats) = Durability::open(dir, snapshot_every)?;
-    let mut max_id = 0u64;
     for record in &records {
         match record {
             DurableRecord::Register { graph_text } => {
@@ -411,24 +411,30 @@ fn recover(state: &Arc<State>, dir: &std::path::Path, snapshot_every: usize) -> 
                 else {
                     return Err(bad("replay: solve record without solve request".into()));
                 };
-                state.next_hypothesis.store(*id, Ordering::SeqCst);
-                max_id = max_id.max(*id);
-                let planned = plan_solve(
-                    state, *structure, examples, *ell, *q, *epsilon, solver, None, false,
-                );
-                let response = match planned {
+                let response = match plan_solve(
+                    state, *structure, examples, *ell, *q, *epsilon, solver, None,
+                ) {
                     Ok(job) => run_solve(state, job),
                     Err(response) => response,
                 };
                 if let Response::Error { message, .. } = response {
                     return Err(bad(format!("replay: solve failed: {message}")));
                 }
+                let derived = hypothesis_id(*structure, examples, *ell, *q, *epsilon, solver);
+                if derived != *id {
+                    eprintln!(
+                        "folearn-server: replay: logged hypothesis {} is {} by content; \
+                         both ids answer",
+                        hex64(*id),
+                        hex64(derived)
+                    );
+                    if let Some(stored) = state.hypotheses.get(derived) {
+                        state.hypotheses.insert(*id, stored);
+                    }
+                }
             }
         }
     }
-    state
-        .next_hypothesis
-        .store(max_id.saturating_add(1).max(1), Ordering::SeqCst);
     state
         .metrics
         .set("wal_records_replayed", stats.records_replayed());
@@ -538,7 +544,7 @@ impl EventHandler for ServerDispatch {
                 solver,
                 trace,
             } => match plan_solve(
-                &self.state, structure, &examples, ell, q, epsilon, &solver, trace, true,
+                &self.state, structure, &examples, ell, q, epsilon, &solver, trace,
             ) {
                 Err(response) => {
                     responder.complete(response);
@@ -693,10 +699,10 @@ fn handle_register(state: &Arc<State>, graph_text: &str) -> Response {
     }
 }
 
-/// Answer `inventory`: sorted structure hashes plus sorted hypothesis
-/// bindings, cheap enough to serve inline on a loop thread. Sorting
-/// makes two inventories comparable byte-for-byte, which is all the
-/// router's anti-entropy diff needs.
+/// Answer `inventory`: sorted structure hashes plus the sorted
+/// `(id, structure)` pairs of the store, cheap enough to serve inline
+/// on a loop thread. Sorting makes two inventories comparable
+/// byte-for-byte.
 fn handle_inventory(state: &Arc<State>) -> Response {
     let mut structures: Vec<u64> = state.graphs.entries().into_iter().map(|(k, _)| k).collect();
     structures.sort_unstable();
@@ -745,6 +751,7 @@ struct SolveJob {
     rust_solver: Solver,
     engine: EvalEngine,
     structure: u64,
+    /// [`solve_key`] of the request; its digest is the hypothesis id.
     cache_key: (u64, u64, u64),
     trace_ctx: Option<TraceContext>,
     /// The wire-form `(sample, config)` pair, carried so the completed
@@ -756,11 +763,7 @@ struct SolveJob {
 
 /// Validate a solve request and check the result cache. `Err` is the
 /// immediate response (validation error or cache replay), answered
-/// inline; `Ok` is the prepared compute job. Startup replay passes
-/// `check_cache: false`: a key logged twice (LRU eviction between two
-/// live solves of the same instance) must re-run so the store entry
-/// for the second id is reconstructed, not answered from the cache the
-/// first replay warmed.
+/// inline; `Ok` is the prepared compute job.
 // A large Err is fine here: Err *is* the wire reply (cache replay or
 // validation error), built once and moved straight to the responder.
 #[allow(clippy::too_many_arguments, clippy::result_large_err)]
@@ -773,7 +776,6 @@ fn plan_solve(
     epsilon: f64,
     solver: &SolverSpec,
     trace_ctx: Option<TraceContext>,
-    check_cache: bool,
 ) -> Result<SolveJob, Response> {
     let fail = |m: String| Err(Response::error(m));
     let g = match state.graph(structure) {
@@ -814,34 +816,14 @@ fn plan_solve(
         }
     }
 
-    // Cache key: structure is already hashed; hash the sample and the
-    // solver configuration through their canonical wire forms.
-    let sample_key = {
-        let mut bytes = Vec::new();
-        for e in examples {
-            bytes.extend_from_slice(&(e.tuple.len() as u32).to_le_bytes());
-            for &v in &e.tuple {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            bytes.push(u8::from(e.label));
-        }
-        bytes.extend_from_slice(&(ell as u64).to_le_bytes());
-        bytes.extend_from_slice(&(q as u64).to_le_bytes());
-        bytes.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-        fnv1a64(&bytes)
-    };
-    let config_key = fnv1a64(solver.to_json().render().as_bytes());
-    let cache_key = (structure, sample_key, config_key);
-
-    if check_cache {
-        if let Some((mut outcome, captured_at)) = state.cache.get(&cache_key) {
-            outcome.cached = true;
-            outcome.trace = outcome
-                .trace
-                .map(|t| stamp_replay(t, captured_at.elapsed()));
-            state.metrics.series(|s| s.record_cache(true));
-            return Err(Response::Solved(outcome));
-        }
+    let cache_key = solve_key(structure, examples, ell, q, epsilon, solver);
+    if let Some((mut outcome, captured_at)) = state.cache.get(&cache_key) {
+        outcome.cached = true;
+        outcome.trace = outcome
+            .trace
+            .map(|t| stamp_replay(t, captured_at.elapsed()));
+        state.metrics.series(|s| s.record_cache(true));
+        return Err(Response::Solved(outcome));
     }
     // The miss is recorded by the caller: the event core first checks
     // the in-flight table, where a coalesced duplicate still counts as
@@ -908,7 +890,7 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
     }
     let inst = ErmInstance::new(&job.g, job.seq, job.k, job.ell, job.q, job.epsilon);
     let report = solve_fo_erm_with_engine(&inst, &job.rust_solver, &job.arena, job.engine);
-    let id = state.next_hypothesis.fetch_add(1, Ordering::SeqCst);
+    let id = key_id(job.cache_key);
     let h = &report.hypothesis;
     // Canonical keys make the hypothesis recognisable across
     // backends: arena-relative `types` differ between servers, the

@@ -7,15 +7,18 @@
 //! * a `register` record carries the structure's canonical graph text
 //!   (its content hash is re-derived on replay);
 //! * a `solve` record carries the `(structure, sample, config)` triple
-//!   plus the hypothesis id the live server assigned. The hypothesis
-//!   itself is **derivable** — the learner is deterministic — so replay
-//!   re-runs the solve and provably reconstructs bit-identical state,
-//!   the same invariant E19/E21 gate over the network.
+//!   plus its hypothesis id, the [`crate::proto::hypothesis_id`] of
+//!   that triple. The hypothesis itself is **derivable** — the learner
+//!   is deterministic — so replay re-runs the solve, re-derives the id,
+//!   and provably reconstructs bit-identical state, the same invariant
+//!   E19/E21 gate over the network.
 //!
 //! Records are protocol-JSON payloads inside WAL frames, and the
 //! snapshot file uses the *same* framing: a snapshot is just a
-//! compacted log (registers deduplicated, solves in id order), so one
-//! reader handles both files. Compaction writes `snapshot.tmp`, fsyncs
+//! compacted log (registers, then solves, each deduplicated and in
+//! first-logged order), so one reader handles both files. Keeping the
+//! log order keeps replay order, and with it the arena-relative type
+//! ids a restarted server hands out. Compaction writes `snapshot.tmp`, fsyncs
 //! it, renames it over `snapshot.log`, fsyncs the directory, then
 //! truncates `wal.log` — crash-safe at every step because rename is
 //! atomic and the WAL is only emptied after the snapshot is durable.
@@ -30,7 +33,7 @@
 //! The result cache is deliberately volatile: entries are pure
 //! functions of durable state and re-warm on replay for free.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -54,10 +57,12 @@ pub enum DurableRecord {
         graph_text: String,
     },
     /// A hypothesis was learned: the solve request that produced it
-    /// plus the id the server assigned. Replay re-runs the request with
-    /// the id forced, reconstructing the identical store entry.
+    /// plus its id. Replay re-runs the request, which re-derives the
+    /// same id and reconstructs the identical store entry.
     Solve {
-        /// The server-assigned hypothesis id.
+        /// The hypothesis id: [`crate::proto::hypothesis_id`] of
+        /// `request`. A record logged by a counter-id build carries a
+        /// different id, which replay keeps answering as an alias.
         id: u64,
         /// The originating request; always `Request::Solve` with no
         /// trace context (tracing never changes answers).
@@ -141,8 +146,9 @@ impl RecoveryStats {
 }
 
 /// The open durability layer of one daemon: the live WAL plus the
-/// in-memory compaction table (registers deduplicated, solves keyed by
-/// id) that becomes the next snapshot.
+/// in-memory compaction table (registers deduplicated by content hash,
+/// solves by id, each kept in first-logged order) that becomes the next
+/// snapshot.
 pub struct Durability {
     dir: PathBuf,
     wal: Wal,
@@ -150,7 +156,8 @@ pub struct Durability {
     appends_since_compact: usize,
     registers: Vec<String>,
     register_hashes: HashSet<u64>,
-    solves: BTreeMap<u64, DurableRecord>,
+    solves: Vec<DurableRecord>,
+    solve_ids: HashSet<u64>,
 }
 
 impl Durability {
@@ -191,7 +198,8 @@ impl Durability {
             appends_since_compact: wal_read.records.len(),
             registers: Vec::new(),
             register_hashes: HashSet::new(),
-            solves: BTreeMap::new(),
+            solves: Vec::new(),
+            solve_ids: HashSet::new(),
         };
         for r in &records {
             this.absorb(r);
@@ -208,7 +216,9 @@ impl Durability {
                 }
             }
             DurableRecord::Solve { id, .. } => {
-                self.solves.insert(*id, record.clone());
+                if self.solve_ids.insert(*id) {
+                    self.solves.push(record.clone());
+                }
             }
         }
     }
@@ -240,7 +250,7 @@ impl Durability {
                 };
                 f.write_all(&encode_frame(&rec.to_bytes()))?;
             }
-            for rec in self.solves.values() {
+            for rec in &self.solves {
                 f.write_all(&encode_frame(&rec.to_bytes()))?;
             }
             f.sync_data()?;
@@ -368,14 +378,15 @@ mod tests {
     }
 
     #[test]
-    fn solves_compact_in_id_order_even_if_logged_out_of_order() {
+    fn solves_compact_in_first_logged_order_one_record_per_id() {
         let dir = tmp_dir("order");
         {
-            let (mut d, _, _) = Durability::open(&dir, 2).unwrap();
+            let (mut d, _, _) = Durability::open(&dir, 3).unwrap();
             d.append(&solve_rec(5, 9)).unwrap();
-            d.append(&solve_rec(3, 9)).unwrap(); // triggers compaction
+            d.append(&solve_rec(3, 9)).unwrap();
+            d.append(&solve_rec(5, 9)).unwrap(); // re-logged; triggers compaction
         }
-        let (_, records, _) = Durability::open(&dir, 2).unwrap();
-        assert_eq!(records, vec![solve_rec(3, 9), solve_rec(5, 9)]);
+        let (_, records, _) = Durability::open(&dir, 3).unwrap();
+        assert_eq!(records, vec![solve_rec(5, 9), solve_rec(3, 9)]);
     }
 }

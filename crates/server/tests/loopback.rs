@@ -12,7 +12,7 @@ use std::time::Duration;
 use folearn_cluster::{RouterConfig, RouterHandle};
 
 use folearn_logic::vm::EvalEngine;
-use folearn_server::proto::{hex64, Json, Request, Response};
+use folearn_server::proto::{hex64, hypothesis_id, Json, Request, Response};
 use folearn_server::{
     start, Client, ClientApi, ClientError, LoadgenConfig, ServerConfig, ServerHandle, SolverSpec,
     WireExample,
@@ -105,6 +105,18 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
     assert!(!cold.cached);
     assert_eq!(cold.error, 0.0, "Red(x0) realises the sample");
     assert!(cold.work > 0);
+    assert_eq!(
+        cold.hypothesis.id,
+        hypothesis_id(
+            structure,
+            &sample(),
+            1,
+            1,
+            0.0,
+            &SolverSpec::default_brute()
+        ),
+        "the id is the content address of the solve"
+    );
 
     let warm = client
         .solve(structure, sample(), 1, 1, 0.0, SolverSpec::default_brute())
@@ -711,9 +723,10 @@ fn duplicate_pipelined_solves_coalesce_onto_one_computation() {
         }
     }
     assert_eq!(fresh, 1, "exactly one copy is computed");
+    let id = hypothesis_id(structure, &sample(), 1, 1, 0.0, &SolverSpec::default_brute());
     assert!(
-        ids.iter().all(|&id| id == ids[0]),
-        "every duplicate sees the same stored hypothesis: {ids:?}"
+        ids.iter().all(|&i| i == id),
+        "every duplicate sees the same content-addressed id: {ids:?}"
     );
     handle.shutdown();
 }

@@ -7,7 +7,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use folearn_server::proto::Json;
+use folearn_server::proto::{hypothesis_id, Json, Request};
+use folearn_server::snapshot::{Durability, DurableRecord};
 use folearn_server::{
     start, Client, ClientApi, ServerConfig, SolverSpec, WireExample,
 };
@@ -67,6 +68,18 @@ fn restart_replays_registry_and_hypotheses_bit_identically() {
             .solve(structure, sample(), 1, 1, 0.0, SolverSpec::Nd)
             .expect("solve nd");
         assert_ne!(outcome_a.hypothesis.id, outcome_b.hypothesis.id);
+        assert_eq!(
+            outcome_a.hypothesis.id,
+            hypothesis_id(
+                structure,
+                &sample(),
+                1,
+                1,
+                0.0,
+                &SolverSpec::default_brute()
+            ),
+            "a direct solve is named by its content address"
+        );
         let tuples: Vec<Vec<u32>> = (0..6u32).map(|v| vec![v]).collect();
         let (predictions, _) = client
             .evaluate(structure, outcome_a.hypothesis.id, tuples, None)
@@ -116,15 +129,24 @@ fn restart_replays_registry_and_hypotheses_bit_identically() {
         assert_eq!(again.error, pre.error);
     }
 
-    // Fresh ids allocated after the restart never collide with replayed
-    // ones.
+    // A fresh solve after the restart is named by its own content
+    // address, distinct from both replayed ids.
     let fresh = client
         .solve(structure, sample(), 1, 2, 0.0, SolverSpec::default_brute())
         .expect("fresh solve after restart");
-    assert!(
-        fresh.hypothesis.id > outcome_b.hypothesis.id,
-        "id allocation resumes past the replayed maximum"
+    assert_eq!(
+        fresh.hypothesis.id,
+        hypothesis_id(
+            structure,
+            &sample(),
+            1,
+            2,
+            0.0,
+            &SolverSpec::default_brute()
+        )
     );
+    assert_ne!(fresh.hypothesis.id, outcome_a.hypothesis.id);
+    assert_ne!(fresh.hypothesis.id, outcome_b.hypothesis.id);
 
     let stats = client.stats().expect("stats after restart");
     assert_eq!(stats.get("durable").and_then(Json::as_bool), Some(true));
@@ -182,21 +204,21 @@ fn torn_wal_tail_is_truncated_and_counted() {
 #[test]
 fn snapshot_compaction_survives_restart_and_empties_the_wal() {
     let dir = fresh_dir("compact");
-    let pre_inventory = {
+    let (structure, pre_inventory, pre) = {
         // snapshot_every = 2: the register + first solve trigger a
         // compaction, the second solve lands in the fresh WAL.
         let handle = start(&durable_config(&dir, 2)).expect("durable server starts");
         let mut client = Client::connect(handle.addr()).expect("connect");
         let structure = client.register(GRAPH).expect("register");
-        client
+        let first = client
             .solve(structure, sample(), 1, 1, 0.0, SolverSpec::default_brute())
             .expect("solve 1");
-        client
+        let second = client
             .solve(structure, sample(), 1, 1, 0.0, SolverSpec::Nd)
             .expect("solve 2");
         let inventory = client.inventory().expect("inventory");
         handle.shutdown();
-        inventory
+        (structure, inventory, [first, second])
     };
     assert!(
         std::fs::metadata(dir.join("snapshot.log")).unwrap().len() > 0,
@@ -209,6 +231,70 @@ fn snapshot_compaction_survives_restart_and_empties_the_wal() {
     let stats = client.stats().expect("stats");
     assert_eq!(stat_num(&stats, "snapshot_loads"), 1.0);
     assert!(stat_num(&stats, "wal_records_replayed") >= 3.0);
+    // The compacted log replays in the order it was written, so a
+    // re-solve returns the same id and the same arena-relative types.
+    for (spec, pre) in [SolverSpec::default_brute(), SolverSpec::Nd]
+        .into_iter()
+        .zip(&pre)
+    {
+        let again = client
+            .solve(structure, sample(), 1, 1, 0.0, spec)
+            .expect("re-solve after the compacted restart");
+        assert_eq!(again.hypothesis.id, pre.hypothesis.id);
+        assert_eq!(again.hypothesis.types, pre.hypothesis.types);
+        assert_eq!(again.hypothesis.type_keys, pre.hypothesis.type_keys);
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_keeps_a_counter_id_answering_beside_the_content_address() {
+    let dir = fresh_dir("legacyid");
+    let structure = {
+        let handle = start(&durable_config(&dir, 0)).expect("durable server starts");
+        let structure = Client::connect(handle.addr())
+            .expect("connect")
+            .register(GRAPH)
+            .expect("register");
+        handle.shutdown();
+        structure
+    };
+    // A solve logged under an id its request does not hash to, as a
+    // counter-id build wrote it.
+    let derived = hypothesis_id(structure, &sample(), 1, 1, 0.0, &SolverSpec::Nd);
+    assert_ne!(derived, 1);
+    {
+        let (mut durable, _, _) = Durability::open(&dir, 1000).expect("open the data dir");
+        durable
+            .append(&DurableRecord::Solve {
+                id: 1,
+                request: Request::Solve {
+                    structure,
+                    examples: sample(),
+                    ell: 1,
+                    q: 1,
+                    epsilon: 0.0,
+                    solver: SolverSpec::Nd,
+                    trace: None,
+                },
+            })
+            .expect("append");
+    }
+    let handle = start(&durable_config(&dir, 0)).expect("a counter id does not fail startup");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let tuples: Vec<Vec<u32>> = (0..6).map(|v| vec![v]).collect();
+    let (by_counter, _) = client
+        .evaluate(structure, 1, tuples.clone(), None)
+        .expect("the logged id still answers");
+    let (by_content, _) = client
+        .evaluate(structure, derived, tuples, None)
+        .expect("the content address answers");
+    assert_eq!(by_counter, by_content, "both ids name one hypothesis");
+    let fresh = client
+        .solve(structure, sample(), 1, 1, 0.0, SolverSpec::Nd)
+        .expect("re-solve");
+    assert_eq!(fresh.hypothesis.id, derived, "a solve names the content address");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,11 @@
 //! Property tests for the durability layer: arbitrary mutation
 //! sequences logged through [`Durability`] and replayed must equal
 //! direct application (modulo compaction, which is exactly dedup of
-//! registers plus last-write-wins per solve id), and recovery must
+//! registers plus first-write-wins per solve id, both in first-logged
+//! order), and recovery must
 //! succeed — yielding a clean record prefix — at *every* byte-length
 //! prefix of a valid log (crash-at-any-point tolerance).
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,11 +32,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// The reference semantics of the durable state: registers dedup'd in
-/// first-seen order, solves keyed by id with last write winning.
+/// first-seen order, solves dedup'd by id in first-seen order (the
+/// first record of an id wins).
 #[derive(Debug, Default, PartialEq)]
 struct Model {
     registers: Vec<String>,
-    solves: BTreeMap<u64, DurableRecord>,
+    solves: Vec<DurableRecord>,
 }
 
 impl Model {
@@ -48,7 +49,13 @@ impl Model {
                 }
             }
             DurableRecord::Solve { id, .. } => {
-                self.solves.insert(*id, r.clone());
+                let seen = self
+                    .solves
+                    .iter()
+                    .any(|s| matches!(s, DurableRecord::Solve { id: i, .. } if i == id));
+                if !seen {
+                    self.solves.push(r.clone());
+                }
             }
         }
     }
@@ -227,8 +234,8 @@ fn recovery_succeeds_at_every_wal_byte_prefix() {
             durable.append(r).unwrap();
         }
     }
-    // The snapshot rewrites `base` in compacted order: registers in
-    // first-seen order, then solves in id order.
+    // The snapshot rewrites `base` in compacted order: registers, then
+    // solves, each in first-seen order.
     let snapshot_records = [register("alpha"), register("beta"), solve(1)];
     let wal_path = dir.join(WAL_FILE);
     let full = std::fs::read(&wal_path).unwrap();

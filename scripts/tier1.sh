@@ -69,6 +69,7 @@ grep -q 'shut down cleanly' "$SMOKE/server.log"
 # dir: the pre-crash hypothesis id must answer evaluate with nobody
 # re-registering or re-solving — a volatile restart would answer
 # unknown_hypothesis here — and stats must show the WAL replay behind it.
+# A re-solve after the restart must name the same hypothesis id.
 "$FOLEARN" serve --addr 127.0.0.1:0 --addr-file "$SMOKE/dur.addr" --workers 1 \
     --data-dir "$SMOKE/durable" > "$SMOKE/dur.log" &
 DUR_PID=$!
@@ -92,6 +93,13 @@ DADDR=$(cat "$SMOKE/dur.addr")
 "$FOLEARN" client --addr "$DADDR" --action evaluate --graph "$SMOKE/graph.txt" \
     --examples "$SMOKE/sample.txt" --hypothesis "$HYP" > "$SMOKE/dur-eval.txt"
 grep -q 'error vs labels: 0.0000' "$SMOKE/dur-eval.txt"
+"$FOLEARN" client --addr "$DADDR" --action solve --graph "$SMOKE/graph.txt" \
+    --examples "$SMOKE/sample.txt" --ell 1 --q 1 > "$SMOKE/dur-resolve.txt"
+grep -qx "hypothesis id:   $HYP" "$SMOKE/dur-resolve.txt" || {
+    echo "tier1: re-solve after the restart did not return hypothesis $HYP" >&2
+    cat "$SMOKE/dur-resolve.txt" >&2
+    exit 1
+}
 "$FOLEARN" client --addr "$DADDR" --action stats > "$SMOKE/dur-stats.txt"
 grep -q '"durable": true' "$SMOKE/dur-stats.txt"
 grep -Eq '"wal_records_replayed": [1-9]' "$SMOKE/dur-stats.txt"
@@ -145,6 +153,10 @@ grep -q 'server.solve' "$SMOKE/routed-trace.jsonl"
 "$FOLEARN" trace --file "$SMOKE/routed-trace.jsonl" > "$SMOKE/rendered.txt"
 grep -q 'router.solve' "$SMOKE/rendered.txt"
 grep -q 'server.solve' "$SMOKE/rendered.txt"
+# Hypothesis ids are content addresses: the untraced and the traced solve
+# of the same instance name the same hypothesis.
+grep -q '^hypothesis id:' "$SMOKE/routed.txt"
+diff <(grep '^hypothesis id:' "$SMOKE/routed.txt") <(grep '^hypothesis id:' "$SMOKE/traced.txt")
 # The live view, single-frame mode: fan-in stats from both live backends.
 "$FOLEARN" top --addr "$RADDR" --once > "$SMOKE/top.txt"
 grep -q 'folearn top — router' "$SMOKE/top.txt"

@@ -805,15 +805,9 @@ fn render_top(addr: &str, stats: &Json) -> String {
             jnum(stats, "replica_retries") as u64,
             jnum(stats, "failovers") as u64,
         );
-        let (repairs, rebinds) = (
-            jnum(stats, "repairs_performed") as u64,
-            jnum(stats, "rebinds_avoided") as u64,
-        );
-        if repairs + rebinds > 0 {
-            let _ = writeln!(
-                out,
-                "repair:    {repairs} structures re-seeded, {rebinds} rebinds avoided",
-            );
+        let repairs = jnum(stats, "repairs_performed") as u64;
+        if repairs > 0 {
+            let _ = writeln!(out, "repair:    {repairs} structures re-seeded");
         }
     } else {
         let _ = writeln!(
@@ -1469,14 +1463,11 @@ mod tests {
         assert!(!render_top("127.0.0.1:1", &volatile).contains("durable:"));
 
         let router = Json::parse(
-            r#"{"role":"router","version":"0.1","uptime_ms":500,"requests":9,"failovers":1,"repairs_performed":2,"rebinds_avoided":1,"backends":[{"addr":"127.0.0.1:2","requests":7,"latency":{"count":7,"p50_us":256,"p99_us":2048}}],"cluster":{"backends_total":1,"backends_live":1,"backends_reporting":1,"requests":7,"nodes":[{"addr":"127.0.0.1:2","live":true,"role":"server","version":"0.1","uptime_ms":900,"requests":7,"durable":true,"wal_records_replayed":3}]}}"#,
+            r#"{"role":"router","version":"0.1","uptime_ms":500,"requests":9,"failovers":1,"repairs_performed":2,"backends":[{"addr":"127.0.0.1:2","requests":7,"latency":{"count":7,"p50_us":256,"p99_us":2048}}],"cluster":{"backends_total":1,"backends_live":1,"backends_reporting":1,"requests":7,"nodes":[{"addr":"127.0.0.1:2","live":true,"role":"server","version":"0.1","uptime_ms":900,"requests":7,"durable":true,"wal_records_replayed":3}]}}"#,
         )
         .unwrap();
         let frame = render_top("127.0.0.1:1", &router);
-        assert!(
-            frame.contains("repair:    2 structures re-seeded, 1 rebinds avoided"),
-            "{frame}"
-        );
+        assert!(frame.contains("repair:    2 structures re-seeded\n"), "{frame}");
         assert!(frame.contains(", durable (3 replayed)"), "{frame}");
         assert!(
             frame.contains("7 requests, calls p50 256µs p99 2048µs, durable"),
