@@ -1,8 +1,10 @@
 //! E5 — Theorem 13 / Theorem 2 (the nowhere-dense FPT learner).
 //!
 //! Claim: on nowhere dense classes (forests here) the learner achieves
-//! `err ≤ ε* + ε` while scaling far better in `n` than the brute-force
-//! `n^{ℓ+1}` sweep — near-linear at fixed parameters.
+//! `err ≤ ε* + ε`; the verdict checks exactly that. The runtime log-log
+//! slopes of the learner and of the brute-force sweep are printed beside
+//! it as observations, not gated: both depend on the type kernel's cost
+//! per vertex as much as on the algorithms' shapes.
 
 use folearn::bruteforce::optimal_error;
 use folearn::ndlearner::{nd_learn, FinalRule, NdConfig, SearchMode};
@@ -26,9 +28,8 @@ fn config() -> NdConfig {
 fn main() {
     banner(
         "E5 (Theorem 13 / Theorem 2)",
-        "on forests the learner returns err ≤ ε* + ε, and its runtime \
-         grows much slower with n than brute force (who-wins shape: \
-         FPT learner wins at scale)",
+        "on forests the learner returns err ≤ ε* + ε (runtime slopes \
+         against brute force are reported, not gated)",
     );
 
     let mut table = Table::new(&[
@@ -91,13 +92,9 @@ fn main() {
     }
     println!();
     println!(
-        "log-log slopes: nd-learner {:.2}, brute-force {:.2}",
+        "log-log slopes (observed, not gated): nd-learner {:.2}, brute-force {:.2}",
         loglog_slope(&nd_pts),
         loglog_slope(&bf_pts)
     );
-    verdict(
-        all_ok,
-        "err ≤ ε* + ε on every instance; the FPT learner's scaling \
-         exponent sits well below brute force's",
-    );
+    verdict(all_ok, "err ≤ ε* + ε on every instance");
 }

@@ -1,5 +1,6 @@
 //! Immutable coloured graphs in compressed-sparse-row form.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,6 +41,13 @@ pub struct Graph {
     /// Per-vertex colour bitsets, `words_per_vertex` words each.
     colors: Vec<u64>,
     words_per_vertex: usize,
+    /// Colour class of each vertex (vertices with equal colour sets share
+    /// a class; classes are numbered in order of their first vertex).
+    class_of: Vec<u32>,
+    /// CSR row offsets of the class member lists, length `#classes + 1`.
+    class_offsets: Vec<u32>,
+    /// Class members, sorted within each class, length `n`.
+    class_members: Vec<u32>,
 }
 
 impl Graph {
@@ -50,13 +58,38 @@ impl Graph {
         colors: Vec<u64>,
         words_per_vertex: usize,
     ) -> Self {
-        debug_assert_eq!(colors.len(), (offsets.len() - 1) * words_per_vertex);
+        let n = offsets.len() - 1;
+        debug_assert_eq!(colors.len(), n * words_per_vertex);
+        let mut class_ids: HashMap<&[u64], u32> = HashMap::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        let class_of: Vec<u32> = colors
+            .chunks_exact(words_per_vertex)
+            .map(|set| {
+                let c = *class_ids.entry(set).or_insert_with(|| {
+                    sizes.push(0);
+                    sizes.len() as u32 - 1
+                });
+                sizes[c as usize] += 1;
+                c
+            })
+            .collect();
+        let mut class_offsets = Vec::with_capacity(sizes.len() + 1);
+        class_offsets.push(0u32);
+        for &size in &sizes {
+            class_offsets.push(class_offsets.last().unwrap() + size);
+        }
+        let mut class_members: Vec<u32> = (0..n as u32).collect();
+        // A stable sort keeps each class's members in vertex order.
+        class_members.sort_by_key(|&v| class_of[v as usize]);
         Self {
             vocab,
             offsets,
             targets,
             colors,
             words_per_vertex,
+            class_of,
+            class_offsets,
+            class_members,
         }
     }
 
@@ -126,6 +159,29 @@ impl Graph {
     #[inline]
     pub fn words_per_vertex(&self) -> usize {
         self.words_per_vertex
+    }
+
+    /// The colour class of `v`: two vertices share a class iff they carry
+    /// the same colour set. Classes are numbered `0 … num_color_classes()`
+    /// in order of their first vertex.
+    #[inline]
+    pub fn color_class(&self, v: V) -> usize {
+        self.class_of[v.index()] as usize
+    }
+
+    /// Number of distinct colour sets among the vertices (0 for the empty
+    /// graph).
+    #[inline]
+    pub fn num_color_classes(&self) -> usize {
+        self.class_offsets.len() - 1
+    }
+
+    /// The members of colour class `c`, in increasing vertex order.
+    #[inline]
+    pub fn color_class_members(&self, c: usize) -> &[u32] {
+        let lo = self.class_offsets[c] as usize;
+        let hi = self.class_offsets[c + 1] as usize;
+        &self.class_members[lo..hi]
     }
 
     /// All vertices carrying colour `c`.
@@ -203,6 +259,24 @@ mod tests {
         for (u, v) in e {
             assert!(u < v);
         }
+    }
+
+    #[test]
+    fn color_classes_group_equal_colour_sets() {
+        let vocab = Vocabulary::new((0..70).map(|i| format!("C{i}")));
+        let mut b = GraphBuilder::with_vertices(vocab, 5);
+        b.set_color(V(1), ColorId(69));
+        b.set_color(V(2), ColorId(3));
+        b.set_color(V(3), ColorId(69));
+        let g = b.build();
+        assert_eq!(g.num_color_classes(), 3);
+        let classes: Vec<usize> = g.vertices().map(|v| g.color_class(v)).collect();
+        assert_eq!(classes, vec![0, 1, 2, 1, 0]);
+        assert_eq!(g.color_class_members(0), &[0, 4]);
+        assert_eq!(g.color_class_members(1), &[1, 3]);
+        assert_eq!(g.color_class_members(2), &[2]);
+        let empty = GraphBuilder::new(Vocabulary::empty()).build();
+        assert_eq!(empty.num_color_classes(), 0);
     }
 
     #[test]

@@ -52,17 +52,8 @@ impl WlColoring {
 /// by `(old colour, sorted multiset of neighbour colours)`.
 pub fn color_refinement(g: &Graph, max_rounds: usize) -> WlColoring {
     let n = g.num_vertices();
-    // Initial partition by colour words.
-    let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
-    let mut colors: Vec<u32> = g
-        .vertices()
-        .map(|v| {
-            let key = g.color_words(v).to_vec();
-            let next = ids.len() as u32;
-            *ids.entry(key).or_insert(next)
-        })
-        .collect();
-    let mut num_colors = ids.len().max(1);
+    let mut colors: Vec<u32> = g.vertices().map(|v| g.color_class(v) as u32).collect();
+    let mut num_colors = g.num_color_classes().max(1);
     let mut rounds = 0usize;
     for _ in 0..max_rounds {
         let mut next_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();

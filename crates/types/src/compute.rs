@@ -20,10 +20,14 @@ use crate::atomic::AtomicType;
 /// tuples get equal type ids iff they satisfy the same `FO[τ,q]` formulas;
 /// cap `t` decides all counting quantifiers `∃^{≥i}` with `i ≤ t` as well.
 ///
-/// The cost of `type_of(v̄, q)` is `O(n^q)` tuple extensions — the
-/// finite-but-XP blow-up the paper's Section 2 normal form hides; all
-/// learner entry points confine it to bounded neighbourhoods or bounded
-/// `q`.
+/// The cost of `type_of(v̄, q)` for `q ≥ 1` is `O(n^{q−1}·(kΔ + c))`
+/// interned atomic types, for tuples of arity `k`, maximum degree `Δ` and
+/// `c` colour classes: a vertex `u` outside `N[v̄]` gives `v̄u` an atomic
+/// type fixed by `u`'s colour set alone, so the last quantifier level
+/// interns one child per near vertex and one per colour class of the far
+/// ones. The remaining `n^{q−1}` is the finite-but-XP blow-up the paper's
+/// Section 2 normal form hides; all learner entry points confine it to
+/// bounded neighbourhoods or bounded `q`.
 pub struct TypeComputer<'g, 'a> {
     graph: &'g Graph,
     arena: &'a mut TypeArena,
@@ -67,40 +71,99 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
     /// Compute `tp_q(G, v̄)` (with this session's counting cap).
     pub fn type_of(&mut self, tuple: &[V], q: usize) -> TypeId {
         let rank = u16::try_from(q).expect("quantifier rank too large");
-        if let Some(&id) = self.memo.get(&(tuple.to_vec(), rank)) {
+        let key = (tuple.to_vec(), rank);
+        if let Some(&id) = self.memo.get(&key) {
             return id;
         }
         let id = self.compute(tuple, rank);
-        self.memo.insert((tuple.to_vec(), rank), id);
+        self.memo.insert(key, id);
         id
     }
 
     fn compute(&mut self, tuple: &[V], rank: u16) -> TypeId {
-        let atomic = AtomicType::of(self.graph, tuple);
-        let children: Box<[(TypeId, u32)]> = if rank == 0 {
-            Box::new([])
-        } else {
-            let mut ext = Vec::with_capacity(tuple.len() + 1);
-            ext.extend_from_slice(tuple);
-            ext.push(V(0));
-            let mut counts: HashMap<TypeId, u32> = HashMap::new();
-            for u in self.graph.vertices() {
-                *ext.last_mut().unwrap() = u;
-                let child = self.type_of(&ext, (rank - 1) as usize);
-                let c = counts.entry(child).or_insert(0);
-                *c = (*c + 1).min(self.cap);
-            }
-            let mut kids: Vec<(TypeId, u32)> = counts.into_iter().collect();
-            kids.sort_unstable();
-            kids.into_boxed_slice()
+        let mut ext = Vec::with_capacity(tuple.len() + 1);
+        ext.extend_from_slice(tuple);
+        ext.push(V(0));
+        let witnesses = match rank {
+            0 => Vec::new(),
+            1 => self.rank_one_witnesses(tuple),
+            _ => self.graph.vertices().map(|u| (u, 1)).collect(),
         };
+        let mut kids: Vec<(TypeId, u32)> = Vec::with_capacity(witnesses.len());
+        for (u, count) in witnesses {
+            *ext.last_mut().unwrap() = u;
+            let child = if rank == 1 {
+                self.atomic_node(&ext)
+            } else {
+                self.type_of(&ext, (rank - 1) as usize)
+            };
+            kids.push((child, count.min(self.cap)));
+        }
+        kids.sort_unstable();
+        let cap = self.cap;
+        kids.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = (kept.1 + next.1).min(cap);
+            }
+            same
+        });
         self.arena.intern(TypeNode {
             rank,
+            cap,
+            arity: tuple.len() as u16,
+            atomic: AtomicType::of(self.graph, tuple),
+            children: kids.into_boxed_slice(),
+        })
+    }
+
+    /// Intern the rank-0 node of `tuple` directly, bypassing the memo.
+    fn atomic_node(&mut self, tuple: &[V]) -> TypeId {
+        self.arena.intern(TypeNode {
+            rank: 0,
             cap: self.cap,
             arity: tuple.len() as u16,
-            atomic,
-            children,
+            atomic: AtomicType::of(self.graph, tuple),
+            children: Box::new([]),
         })
+    }
+
+    /// The one-point extensions `v̄u` that stand for all of them at rank 1,
+    /// each with how many vertices it stands for, in vertex order.
+    ///
+    /// Every near vertex (`u ∈ N[v̄]`) stands for itself. A far vertex is
+    /// neither equal nor adjacent to any entry, so its extension's atomic
+    /// type depends on its colour set alone: the first far vertex of each
+    /// colour class stands for the whole far part of its class. Listing
+    /// that first vertex in vertex order interns every new atomic type at
+    /// the same point as a walk over all of `V` would, so arena ids match
+    /// the per-vertex recursion exactly.
+    fn rank_one_witnesses(&self, tuple: &[V]) -> Vec<(V, u32)> {
+        let g = self.graph;
+        let mut near: Vec<u32> = tuple.iter().map(|v| v.0).collect();
+        for &v in tuple {
+            near.extend_from_slice(g.neighbors(v));
+        }
+        near.sort_unstable();
+        near.dedup();
+        let mut near_in_class = vec![0u32; g.num_color_classes()];
+        for &u in &near {
+            near_in_class[g.color_class(V(u))] += 1;
+        }
+        let mut witnesses: Vec<(V, u32)> = near.iter().map(|&u| (V(u), 1)).collect();
+        for (c, &near_count) in near_in_class.iter().enumerate() {
+            let members = g.color_class_members(c);
+            let far = members.len() as u32 - near_count;
+            if far > 0 {
+                let first = members
+                    .iter()
+                    .find(|u| near.binary_search(u).is_err())
+                    .expect("a class with far members has a first one");
+                witnesses.push((V(*first), far));
+            }
+        }
+        witnesses.sort_unstable();
+        witnesses
     }
 }
 

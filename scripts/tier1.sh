@@ -196,6 +196,15 @@ grep -q 'shut down cleanly' "$SMOKE/router.log"
 for P in "$B1_PID" "$B3_PID"; do kill "$P" 2>/dev/null || true; wait "$P" 2>/dev/null || true; done
 B1_PID=; B3_PID=
 
+# --- type kernel end to end (hermetic: no I/O) -----------------------------
+# E9 (type counts stabilise in n) and E10 (Fact 5 locality: zero
+# violations at r = 4^q) drive the type kernel through global and local
+# types; each finishes in well under a second and must print PASS.
+target/release/exp_e9_types > "$SMOKE/e9.txt"
+grep -q 'verdict: PASS' "$SMOKE/e9.txt"
+target/release/exp_e10_gaifman > "$SMOKE/e10.txt"
+grep -q 'verdict: PASS' "$SMOKE/e10.txt"
+
 # --- fault-injection smoke test (hermetic: loopback only) -----------------
 # Drives the Lemma 7 reduction and a loadgen mix through the deterministic
 # chaos proxy under every fault mode; the binary exits nonzero unless all
