@@ -19,9 +19,10 @@
 //!   ([`client::RetryingClient`]) that reconnects and re-sends under a
 //!   deterministic backoff policy;
 //! * [`wal`] / [`snapshot`] — durable state behind `serve --data-dir`:
-//!   an append-only fsync'd write-ahead log of registry/hypothesis
-//!   mutations with periodic compacted snapshots, replayed on startup
-//!   into bit-identical pre-crash state;
+//!   an append-only fsync'd write-ahead log that holds each structure
+//!   and hypothesis derivation once (compacted only where an older
+//!   build left duplicates), replayed on startup into bit-identical
+//!   pre-crash state;
 //! * [`chaos`] — a deterministic fault-injection proxy (drop / delay /
 //!   truncate / garble / reset frames under a seeded RNG; experiment
 //!   E19);

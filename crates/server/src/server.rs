@@ -155,15 +155,16 @@ pub struct ServerConfig {
     /// Lock shards for the result cache, the structure registry, and
     /// the hypothesis store.
     pub cache_shards: usize,
-    /// Durable-state directory. When set, every registry/hypothesis
-    /// mutation is fsync'd into a write-ahead log there before the
-    /// response is sent, periodic compacted snapshots bound replay
-    /// time, and startup replays the log into bit-identical pre-crash
-    /// state. `None` (the default) keeps today's in-memory behaviour,
-    /// byte-for-byte.
+    /// Durable-state directory. When set, every new structure and
+    /// hypothesis is fsync'd into a write-ahead log there, once, before
+    /// the response is sent, and startup replays the log into
+    /// bit-identical pre-crash state. `None` (the default) keeps
+    /// today's in-memory behaviour, byte-for-byte.
     pub data_dir: Option<std::path::PathBuf>,
-    /// WAL appends between snapshot compactions (`0` = the default,
-    /// [`crate::snapshot::DEFAULT_SNAPSHOT_EVERY`]).
+    /// The fewest WAL appends between compaction checks (`0` = the
+    /// default, [`crate::snapshot::DEFAULT_SNAPSHOT_EVERY`]). A check
+    /// compacts only when dead frames outnumber live ones, which a log
+    /// this build wrote never has.
     pub snapshot_every: usize,
 }
 
@@ -268,19 +269,18 @@ impl State {
         }
     }
 
-    /// Append one mutation to the WAL, if durability is active. The
-    /// append fsyncs before returning, so by the time the caller sends
-    /// its response the mutation survives `kill -9`. An I/O failure is
-    /// surfaced loudly but does not fail the request: the in-memory
-    /// state is still correct, only its durability is degraded.
-    fn persist(&self, record: &DurableRecord) {
+    /// Make one mutation durable, if durability is active: the
+    /// append fsyncs before returning (or finds the key already
+    /// logged), so once this is `Ok` the mutation survives `kill -9`.
+    /// On `Err` the caller must not ack the mutation.
+    fn persist(&self, record: &DurableRecord) -> std::io::Result<()> {
         let mut durable = self.durable.lock();
         if let Some(d) = durable.as_mut() {
-            match d.append(record) {
-                Ok(_compacted) => self.metrics.add("wal_records_written", 1),
-                Err(e) => eprintln!("folearn-server: WAL append failed: {e}"),
+            if d.append(record)? {
+                self.metrics.add("wal_records_written", 1);
             }
         }
+        Ok(())
     }
 }
 
@@ -672,21 +672,30 @@ fn handle_stats(state: &Arc<State>, pool: &Arc<WorkerPool>) -> Response {
     }
 }
 
+/// The reply to a mutation whose WAL append failed: nothing was acked,
+/// so the client may retry.
+fn not_durable(op: &str, e: &std::io::Error) -> Response {
+    Response::error_coded("not_durable", format!("{op}: WAL append failed: {e}"))
+}
+
 fn handle_register(state: &Arc<State>, graph_text: &str) -> Response {
     match io::parse_graph(graph_text) {
         Ok(g) => {
             let canonical = io::to_text(&g);
             let hash = fnv1a64(canonical.as_bytes());
             let (vertices, edges) = (g.num_vertices(), g.num_edges());
-            let fresh = state.graphs.insert(hash, Arc::new(g));
-            if fresh {
-                // Log the canonical text (whose hash is the address),
-                // not the client's spelling: replay re-derives the
-                // identical content hash.
-                state.persist(&DurableRecord::Register {
-                    graph_text: canonical,
-                });
+            // Log before the structure becomes visible, so no solve can
+            // log a record naming a structure the log lacks. Every
+            // register is logged (the log skips a known one), so a retry
+            // of one whose append failed logs it. The canonical text is
+            // logged, not the client's spelling: replay re-derives the
+            // identical content hash.
+            if let Err(e) = state.persist(&DurableRecord::Register {
+                graph_text: canonical,
+            }) {
+                return not_durable("register", &e);
             }
+            let fresh = state.graphs.insert(hash, Arc::new(g));
             Response::Registered {
                 structure: hash,
                 vertices,
@@ -909,16 +918,10 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         type_keys,
         describe: h.describe(),
     };
-    state.hypotheses.insert(
-        id,
-        Arc::new(StoredHypothesis {
-            hypothesis: report.hypothesis.clone(),
-            structure: job.structure,
-        }),
-    );
-    // WAL the derivation triple before the response can be sent: once a
-    // client sees this id, the id survives `kill -9`.
-    state.persist(&DurableRecord::Solve {
+    // WAL the derivation triple before the id is stored, cached or
+    // sent: once a client sees this id, the id survives `kill -9`. A
+    // failed append stores nothing, so a retry re-solves and logs.
+    if let Err(e) = state.persist(&DurableRecord::Solve {
         id,
         request: Request::Solve {
             structure: job.structure,
@@ -929,7 +932,19 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
             solver: job.solver_spec,
             trace: None,
         },
-    });
+    }) {
+        // Close the span here: dropped open, it would park in this
+        // worker's root buffer, which nothing drains.
+        drop(sp.finish());
+        return not_durable("solve", &e);
+    }
+    state.hypotheses.insert(
+        id,
+        Arc::new(StoredHypothesis {
+            hypothesis: report.hypothesis.clone(),
+            structure: job.structure,
+        }),
+    );
     state
         .metrics
         .add("solver.evaluated_params", report.evaluated_params as u64);
@@ -1143,5 +1158,81 @@ mod tests {
         assert!(matches!(accepted, Dispatch::Accepted));
         assert!(matches!(reply(take), Response::Pong));
         assert_eq!(dispatch.pool.num_workers(), 1);
+    }
+
+    #[test]
+    fn a_failed_wal_append_fails_the_mutation_and_the_retry_logs_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "folearn-server-not-durable-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = Arc::new(State::new(&ServerConfig::default()));
+        recover(&state, &dir, DEFAULT_SNAPSHOT_EVERY).unwrap();
+        let fail_next_append = || {
+            state
+                .durable
+                .lock()
+                .as_mut()
+                .expect("durable")
+                .fail_next_append();
+        };
+        let written = || {
+            state
+                .metrics
+                .snapshot(Vec::new())
+                .get("wal_records_written")
+                .and_then(Json::as_usize)
+        };
+        let code = |r: &Response| match r {
+            Response::Error { code, .. } => code.clone(),
+            _ => None,
+        };
+
+        let graph = "colors Red\nvertices 3\nedge 0 1\nedge 1 2\ncolor 0 Red\n";
+        fail_next_append();
+        let failed = handle_register(&state, graph);
+        assert_eq!(code(&failed).as_deref(), Some("not_durable"), "{failed:?}");
+        assert_eq!(state.graphs.len(), 0, "an unlogged structure is not served");
+        let Response::Registered { structure, fresh, .. } = handle_register(&state, graph) else {
+            panic!("the retried register succeeds")
+        };
+        assert!(fresh);
+        assert_eq!(written(), Some(1));
+
+        let examples: Vec<WireExample> = (0..3u32)
+            .map(|v| WireExample {
+                tuple: vec![v],
+                label: v == 0,
+            })
+            .collect();
+        let solve = || {
+            let spec = SolverSpec::default_brute();
+            match plan_solve(&state, structure, &examples, 1, 1, 0.0, &spec, None) {
+                Ok(job) => run_solve(&state, job),
+                Err(replay) => replay,
+            }
+        };
+        fail_next_append();
+        let failed = solve();
+        assert_eq!(code(&failed).as_deref(), Some("not_durable"), "{failed:?}");
+        assert_eq!(state.hypotheses.len(), 0, "an unlogged id is not stored");
+        assert_eq!(state.cache.len(), 0, "an unlogged outcome is not cached");
+        let Response::Solved(outcome) = solve() else {
+            panic!("the retried solve succeeds")
+        };
+        assert!(!outcome.cached, "the retry re-ran the solve");
+        assert_eq!(written(), Some(2));
+        let Response::Solved(again) = solve() else {
+            panic!("the repeat is answered")
+        };
+        assert!(again.cached);
+        assert_eq!(written(), Some(2));
+
+        drop(state);
+        let (_, records, stats) = Durability::open(&dir, DEFAULT_SNAPSHOT_EVERY).unwrap();
+        assert_eq!(records.len(), 2, "the register and the solve, once each");
+        assert_eq!(stats.torn_tail_truncations, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! Durable state: typed mutation records, periodic compacted
-//! snapshots, and crash recovery over the [`crate::wal`] frame format.
+//! Durable state: typed mutation records, compacted snapshots, and
+//! crash recovery over the [`crate::wal`] frame format.
 //!
 //! The daemon's persistent state is *not* the registry and hypothesis
 //! store themselves but the mutation history that produced them:
@@ -13,15 +13,24 @@
 //!   and provably reconstructs bit-identical state, the same invariant
 //!   E19/E21 gate over the network.
 //!
+//! Both keys are content addresses and no operation deletes or updates
+//! what they name, so each is logged once: [`Durability::append`]
+//! skips a record whose key (a register's content hash, a solve's id)
+//! is already durable. A log written this way holds only live records.
+//!
 //! Records are protocol-JSON payloads inside WAL frames, and the
 //! snapshot file uses the *same* framing: a snapshot is just a
 //! compacted log (registers, then solves, each deduplicated and in
 //! first-logged order), so one reader handles both files. Keeping the
 //! log order keeps replay order, and with it the arena-relative type
-//! ids a restarted server hands out. Compaction writes `snapshot.tmp`, fsyncs
-//! it, renames it over `snapshot.log`, fsyncs the directory, then
-//! truncates `wal.log` — crash-safe at every step because rename is
-//! atomic and the WAL is only emptied after the snapshot is durable.
+//! ids a restarted server hands out. Compaction is the cleaning rule of
+//! log-structured file systems: it runs only when dead frames (duplicate
+//! keys, which only logs of older builds carry) outnumber live ones, so
+//! a rewrite of the live records is paid for by at least as many dead
+//! ones. It writes `snapshot.tmp`, fsyncs it, renames it over
+//! `snapshot.log`, fsyncs the directory, then truncates `wal.log` —
+//! crash-safe at every step because rename is atomic and the WAL is
+//! only emptied after the snapshot is durable.
 //!
 //! Data-dir layout:
 //!
@@ -45,7 +54,7 @@ use crate::wal::{encode_frame, read_log, Wal};
 pub const SNAPSHOT_FILE: &str = "snapshot.log";
 /// WAL file name inside the data dir.
 pub const WAL_FILE: &str = "wal.log";
-/// Default appends between compactions.
+/// Default for the fewest appends between compaction checks.
 pub const DEFAULT_SNAPSHOT_EVERY: usize = 256;
 
 /// One durable mutation.
@@ -154,6 +163,9 @@ pub struct Durability {
     wal: Wal,
     snapshot_every: usize,
     appends_since_compact: usize,
+    /// Frames in `snapshot.log` plus `wal.log`: the live table's
+    /// records plus the dead duplicates an older build logged.
+    frames_on_disk: usize,
     registers: Vec<String>,
     register_hashes: HashSet<u64>,
     solves: Vec<DurableRecord>,
@@ -163,7 +175,10 @@ pub struct Durability {
 impl Durability {
     /// Open (or create) the data dir, recover the valid record history
     /// — truncating a torn WAL tail — and return the layer together
-    /// with the records to replay, in application order.
+    /// with the records to replay, in application order. A history
+    /// whose dead frames outnumber its live ones (a log of an older
+    /// build that re-logged keys) is compacted here, off the request
+    /// path, under the same rule as [`Durability::append`].
     pub fn open(
         dir: &Path,
         snapshot_every: usize,
@@ -196,6 +211,7 @@ impl Durability {
             wal,
             snapshot_every: snapshot_every.max(1),
             appends_since_compact: wal_read.records.len(),
+            frames_on_disk: records.len(),
             registers: Vec::new(),
             register_hashes: HashSet::new(),
             solves: Vec::new(),
@@ -204,7 +220,20 @@ impl Durability {
         for r in &records {
             this.absorb(r);
         }
+        if this.garbage_dominates() {
+            this.compact()?;
+        }
         Ok((this, records, stats))
+    }
+
+    /// Whether the record's key is already in the compaction table.
+    fn holds(&self, record: &DurableRecord) -> bool {
+        match record {
+            DurableRecord::Register { graph_text } => self
+                .register_hashes
+                .contains(&fnv1a64(graph_text.as_bytes())),
+            DurableRecord::Solve { id, .. } => self.solve_ids.contains(id),
+        }
     }
 
     /// Absorb a record into the compaction table.
@@ -223,19 +252,37 @@ impl Durability {
         }
     }
 
-    /// Append one mutation: fsync'd into the WAL, folded into the
-    /// compaction table, and — every `snapshot_every` appends —
-    /// compacted into a fresh snapshot. Returns whether a compaction
-    /// ran (tests and metrics care; callers may ignore it).
+    /// The compaction rule: at least `snapshot_every` appends since the
+    /// last compaction, and more dead frames on disk than live ones.
+    fn garbage_dominates(&self) -> bool {
+        let live = self.registers.len() + self.solves.len();
+        self.appends_since_compact >= self.snapshot_every && self.frames_on_disk > 2 * live
+    }
+
+    /// Log one mutation unless its key is already durable. A new record
+    /// is fsync'd into the WAL and only then folded into the compaction
+    /// table, so a failed append leaves the key unlogged and a retry
+    /// writes it. Returns whether a frame was written.
+    ///
+    /// Every record written is live, so compaction never triggers on a
+    /// log this build wrote; it reclaims only duplicates an older build
+    /// left behind (see [`Durability::open`]). A compaction that fails
+    /// after the record is durable is reported on stderr, not to the
+    /// caller: the log it leaves is valid either way.
     pub fn append(&mut self, record: &DurableRecord) -> io::Result<bool> {
+        if self.holds(record) {
+            return Ok(false);
+        }
         self.wal.append(&record.to_bytes())?;
         self.absorb(record);
+        self.frames_on_disk += 1;
         self.appends_since_compact += 1;
-        if self.appends_since_compact >= self.snapshot_every {
-            self.compact()?;
-            return Ok(true);
+        if self.garbage_dominates() {
+            if let Err(e) = self.compact() {
+                eprintln!("folearn-server: snapshot compaction failed: {e}");
+            }
         }
-        Ok(false)
+        Ok(true)
     }
 
     /// Write the compaction table as a fresh snapshot (tmp file +
@@ -260,7 +307,15 @@ impl Durability {
         File::open(&self.dir)?.sync_all()?;
         self.wal.reset()?;
         self.appends_since_compact = 0;
+        self.frames_on_disk = self.registers.len() + self.solves.len();
         Ok(())
+    }
+
+    /// Test seam: make the next WAL append fail halfway through its
+    /// frame.
+    #[cfg(test)]
+    pub(crate) fn fail_next_append(&mut self) {
+        self.wal.fail_next_append = true;
     }
 
     /// The data directory.
@@ -325,13 +380,50 @@ mod tests {
         let reg = DurableRecord::Register {
             graph_text: "colors A\nvertices 1\n".to_string(),
         };
-        assert!(!d.append(&reg).unwrap());
-        assert!(!d.append(&solve_rec(1, 2)).unwrap());
+        assert!(d.append(&reg).unwrap());
+        assert!(d.append(&solve_rec(1, 2)).unwrap());
         drop(d);
         let (_, records, stats) = Durability::open(&dir, 1000).unwrap();
         assert_eq!(records, vec![reg, solve_rec(1, 2)]);
         assert_eq!(stats.wal_records, 2);
         assert_eq!(stats.snapshot_loads, 0);
+        assert_eq!(stats.torn_tail_truncations, 0);
+    }
+
+    #[test]
+    fn a_durable_key_is_never_logged_again() {
+        let dir = tmp_dir("once");
+        let reg = DurableRecord::Register {
+            graph_text: "colors A\nvertices 1\n".to_string(),
+        };
+        let (mut d, _, _) = Durability::open(&dir, 1).unwrap();
+        assert!(d.append(&reg).unwrap());
+        assert!(d.append(&solve_rec(1, 2)).unwrap());
+        let wal_len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert!(!d.append(&reg).unwrap(), "a register is keyed by its content hash");
+        assert!(!d.append(&solve_rec(1, 7)).unwrap(), "a solve is keyed by its id");
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), wal_len);
+        assert!(
+            !dir.join(SNAPSHOT_FILE).exists(),
+            "a log without dead frames is never compacted"
+        );
+        drop(d);
+        let (_, records, _) = Durability::open(&dir, 1).unwrap();
+        assert_eq!(records, vec![reg, solve_rec(1, 2)]);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_key_unlogged_and_the_retry_writes_it() {
+        let dir = tmp_dir("failed");
+        let (mut d, _, _) = Durability::open(&dir, 1000).unwrap();
+        d.append(&solve_rec(1, 2)).unwrap();
+        d.fail_next_append();
+        assert!(d.append(&solve_rec(2, 2)).is_err());
+        assert!(!d.holds(&solve_rec(2, 2)), "a failed append is not absorbed");
+        assert!(d.append(&solve_rec(2, 2)).unwrap(), "the retry writes the record");
+        drop(d);
+        let (_, records, stats) = Durability::open(&dir, 1000).unwrap();
+        assert_eq!(records, vec![solve_rec(1, 2), solve_rec(2, 2)]);
         assert_eq!(stats.torn_tail_truncations, 0);
     }
 
@@ -342,18 +434,52 @@ mod tests {
             graph_text: "colors A\nvertices 1\n".to_string(),
         };
         {
-            let (mut d, _, _) = Durability::open(&dir, 3).unwrap();
+            let (mut d, _, _) = Durability::open(&dir, 1000).unwrap();
+            d.append(&solve_rec(5, 9)).unwrap();
             d.append(&reg).unwrap();
-            d.append(&reg).unwrap(); // duplicate register compacts away
-            assert!(d.append(&solve_rec(1, 2)).unwrap(), "third append compacts");
+            d.append(&solve_rec(3, 9)).unwrap();
+            d.compact().unwrap();
         }
         let wal_len = fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         assert_eq!(wal_len, 0, "WAL empties after compaction");
-        let (_, records, stats) = Durability::open(&dir, 3).unwrap();
+        let (_, records, stats) = Durability::open(&dir, 1000).unwrap();
         assert_eq!(stats.snapshot_loads, 1);
         assert_eq!(stats.wal_records, 0);
-        // Compacted: the duplicate register collapsed to one record.
-        assert_eq!(records, vec![reg, solve_rec(1, 2)]);
+        // Registers first, then solves in first-logged order.
+        assert_eq!(records, vec![reg, solve_rec(5, 9), solve_rec(3, 9)]);
+    }
+
+    #[test]
+    fn an_older_log_is_compacted_once_dead_frames_outnumber_live_ones() {
+        let dir = tmp_dir("garbage");
+        fs::create_dir_all(&dir).unwrap();
+        // Logs as an older build wrote them: it re-logged a solve after
+        // each cache eviction.
+        let older_log = |records: &[DurableRecord]| {
+            let mut wal = Wal::open(&dir.join(WAL_FILE), 0).unwrap();
+            for r in records {
+                wal.append(&r.to_bytes()).unwrap();
+            }
+        };
+        let (a, b) = (solve_rec(1, 2), solve_rec(2, 2));
+        older_log(&[a.clone(), b.clone(), a.clone(), a.clone()]);
+        let (_, records, _) = Durability::open(&dir, 1).unwrap();
+        assert_eq!(records.len(), 4);
+        assert!(!dir.join(SNAPSHOT_FILE).exists(), "two dead frames against two live");
+
+        older_log(&[a.clone(), b.clone(), a.clone(), a.clone(), b.clone()]);
+        let (_, records, _) = Durability::open(&dir, 6).unwrap();
+        assert_eq!(records.len(), 5);
+        assert!(
+            !dir.join(SNAPSHOT_FILE).exists(),
+            "three dead frames, but fewer appends than the cadence asks"
+        );
+        let (_, records, _) = Durability::open(&dir, 5).unwrap();
+        assert_eq!(records.len(), 5, "the caller still replays what was read");
+        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+        let (_, records, stats) = Durability::open(&dir, 5).unwrap();
+        assert_eq!(records, vec![a, b]);
+        assert_eq!(stats.snapshot_records, 2);
     }
 
     #[test]
@@ -375,18 +501,5 @@ mod tests {
         let (_, records, stats) = Durability::open(&dir, 1000).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(stats.torn_tail_truncations, 0);
-    }
-
-    #[test]
-    fn solves_compact_in_first_logged_order_one_record_per_id() {
-        let dir = tmp_dir("order");
-        {
-            let (mut d, _, _) = Durability::open(&dir, 3).unwrap();
-            d.append(&solve_rec(5, 9)).unwrap();
-            d.append(&solve_rec(3, 9)).unwrap();
-            d.append(&solve_rec(5, 9)).unwrap(); // re-logged; triggers compaction
-        }
-        let (_, records, _) = Durability::open(&dir, 3).unwrap();
-        assert_eq!(records, vec![solve_rec(5, 9), solve_rec(3, 9)]);
     }
 }

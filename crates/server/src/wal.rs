@@ -91,6 +91,15 @@ pub fn read_log(path: &Path) -> io::Result<LogRead> {
 pub struct Wal {
     path: PathBuf,
     file: File,
+    /// Byte length of the intact frames: where a failed append's
+    /// partial frame is cut off again.
+    len: u64,
+    /// A failed append may have left a partial frame past `len`.
+    dirty: bool,
+    /// Test seam: the next append writes half its frame and fails, as
+    /// a full disk would.
+    #[cfg(test)]
+    pub(crate) fail_next_append: bool,
 }
 
 impl Wal {
@@ -109,25 +118,54 @@ impl Wal {
         let mut this = Self {
             path: path.to_path_buf(),
             file,
+            len: valid_len,
+            dirty: false,
+            #[cfg(test)]
+            fail_next_append: false,
         };
         this.file.seek_to_end()?;
         Ok(this)
     }
 
-    /// Append one record frame and fsync it. When this returns, the
-    /// record survives `kill -9` and power loss.
+    /// Append one record frame and fsync it. When this returns `Ok`,
+    /// the record survives `kill -9` and power loss. When it fails,
+    /// the next append first cuts the log back to its intact frames: a
+    /// reader stops at the first torn frame, so a frame written behind
+    /// one would be lost on recovery.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.file.write_all(&encode_frame(payload))?;
-        self.file.sync_data()?;
+        if self.dirty {
+            self.truncate_to(self.len)?;
+        }
+        let frame = encode_frame(payload);
+        self.dirty = true;
+        self.write_synced(&frame)?;
+        self.dirty = false;
+        self.len += frame.len() as u64;
         Ok(())
+    }
+
+    fn write_synced(&mut self, frame: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_append) {
+            self.file.write_all(&frame[..frame.len() / 2])?;
+            return Err(io::Error::other("injected append failure"));
+        }
+        self.file.write_all(frame)?;
+        self.file.sync_data()
     }
 
     /// Truncate the log to empty (after its contents were folded into a
     /// snapshot) and make the truncation durable.
     pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
+        self.truncate_to(0)
+    }
+
+    fn truncate_to(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)?;
         self.file.sync_data()?;
         self.file.seek_to_end()?;
+        self.len = len;
+        self.dirty = false;
         Ok(())
     }
 
@@ -251,6 +289,21 @@ mod tests {
         wal.append(b"after").unwrap();
         let read = read_log(&path).unwrap();
         assert_eq!(read.records, vec![b"good".to_vec(), b"after".to_vec()]);
+        assert!(!read.torn);
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_off_before_the_next_one_lands() {
+        let path = tmp("failed");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, 0).unwrap();
+        wal.append(b"kept").unwrap();
+        wal.fail_next_append = true;
+        assert!(wal.append(b"half-written").is_err());
+        assert!(read_log(&path).unwrap().torn, "the failure left a partial frame");
+        wal.append(b"retried").unwrap();
+        let read = read_log(&path).unwrap();
+        assert_eq!(read.records, vec![b"kept".to_vec(), b"retried".to_vec()]);
         assert!(!read.torn);
     }
 

@@ -1,14 +1,15 @@
 //! Crash-recovery loopback tests: a daemon with `--data-dir` must come
 //! back from a restart with bit-identical state — same structure
 //! registry, same hypothesis ids and predictions — without any client
-//! re-registering, including after a torn WAL tail and across snapshot
-//! compactions.
+//! re-registering, including after a torn WAL tail and after the
+//! compaction of a log an older build wrote with duplicate records.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use folearn_server::proto::{hypothesis_id, Json, Request};
 use folearn_server::snapshot::{Durability, DurableRecord};
+use folearn_server::wal::Wal;
 use folearn_server::{
     start, Client, ClientApi, ServerConfig, SolverSpec, WireExample,
 };
@@ -202,12 +203,43 @@ fn torn_wal_tail_is_truncated_and_counted() {
 }
 
 #[test]
-fn snapshot_compaction_survives_restart_and_empties_the_wal() {
+fn an_evicted_re_solve_appends_nothing() {
+    let dir = fresh_dir("evicted");
+    let handle = start(&ServerConfig {
+        cache_capacity: 1,
+        ..durable_config(&dir, 0)
+    })
+    .expect("durable server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let structure = client.register(GRAPH).expect("register");
+    let solve = |client: &mut Client, spec: SolverSpec| {
+        client
+            .solve(structure, sample(), 1, 1, 0.0, spec)
+            .expect("solve")
+    };
+    let first = solve(&mut client, SolverSpec::default_brute());
+    solve(&mut client, SolverSpec::Nd);
+    let written = stat_num(&client.stats().expect("stats"), "wal_records_written");
+    assert_eq!(written, 3.0, "the register and two solves");
+    let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+
+    // The second solve evicted the first from the one-entry cache, so
+    // this re-runs the learner, but its id is already durable.
+    let again = solve(&mut client, SolverSpec::default_brute());
+    assert!(!again.cached, "the first outcome was evicted");
+    assert_eq!(again.hypothesis.id, first.hypothesis.id);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat_num(&stats, "wal_records_written"), written);
+    assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), wal_len);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_older_log_with_duplicates_is_compacted_at_restart() {
     let dir = fresh_dir("compact");
     let (structure, pre_inventory, pre) = {
-        // snapshot_every = 2: the register + first solve trigger a
-        // compaction, the second solve lands in the fresh WAL.
-        let handle = start(&durable_config(&dir, 2)).expect("durable server starts");
+        let handle = start(&durable_config(&dir, 0)).expect("durable server starts");
         let mut client = Client::connect(handle.addr()).expect("connect");
         let structure = client.register(GRAPH).expect("register");
         let first = client
@@ -220,31 +252,61 @@ fn snapshot_compaction_survives_restart_and_empties_the_wal() {
         handle.shutdown();
         (structure, inventory, [first, second])
     };
-    assert!(
-        std::fs::metadata(dir.join("snapshot.log")).unwrap().len() > 0,
-        "compaction produced a snapshot"
-    );
-
-    let handle = start(&durable_config(&dir, 2)).expect("restart loads the snapshot");
-    let mut client = Client::connect(handle.addr()).expect("reconnect");
-    assert_eq!(client.inventory().expect("inventory"), pre_inventory);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stat_num(&stats, "snapshot_loads"), 1.0);
-    assert!(stat_num(&stats, "wal_records_replayed") >= 3.0);
-    // The compacted log replays in the order it was written, so a
-    // re-solve returns the same id and the same arena-relative types.
-    for (spec, pre) in [SolverSpec::default_brute(), SolverSpec::Nd]
-        .into_iter()
-        .zip(&pre)
+    // An older build re-logged a solve on every cache miss: append the
+    // first solve's frame again until dead frames (4) outnumber live
+    // ones (the register and two solves).
+    let wal_path = dir.join("wal.log");
     {
-        let again = client
-            .solve(structure, sample(), 1, 1, 0.0, spec)
-            .expect("re-solve after the compacted restart");
-        assert_eq!(again.hypothesis.id, pre.hypothesis.id);
-        assert_eq!(again.hypothesis.types, pre.hypothesis.types);
-        assert_eq!(again.hypothesis.type_keys, pre.hypothesis.type_keys);
+        let duplicate = DurableRecord::Solve {
+            id: pre[0].hypothesis.id,
+            request: Request::Solve {
+                structure,
+                examples: sample(),
+                ell: 1,
+                q: 1,
+                epsilon: 0.0,
+                solver: SolverSpec::default_brute(),
+                trace: None,
+            },
+        };
+        let len = std::fs::metadata(&wal_path).unwrap().len();
+        let mut wal = Wal::open(&wal_path, len).expect("open the WAL");
+        for _ in 0..4 {
+            wal.append(&duplicate.to_bytes()).expect("append");
+        }
     }
-    handle.shutdown();
+    assert!(!dir.join("snapshot.log").exists());
+
+    // The first restart replays all 7 frames and compacts; the second
+    // loads the 3 live records from the snapshot. Both answer as before
+    // the duplicates: same ids and the same arena-relative types.
+    for (replayed, snapshot_loads) in [(7.0, 0.0), (3.0, 1.0)] {
+        let handle = start(&durable_config(&dir, 2)).expect("restart");
+        assert!(
+            std::fs::metadata(dir.join("snapshot.log")).unwrap().len() > 0,
+            "the restart wrote a snapshot"
+        );
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 0, "and emptied the WAL");
+        let mut client = Client::connect(handle.addr()).expect("reconnect");
+        assert_eq!(client.inventory().expect("inventory"), pre_inventory);
+        let stats = client.stats().expect("stats");
+        assert_eq!(stat_num(&stats, "wal_records_replayed"), replayed);
+        assert_eq!(stat_num(&stats, "snapshot_loads"), snapshot_loads);
+        for (spec, pre) in [SolverSpec::default_brute(), SolverSpec::Nd]
+            .into_iter()
+            .zip(&pre)
+        {
+            let again = client
+                .solve(structure, sample(), 1, 1, 0.0, spec)
+                .expect("re-solve after the compacting restart");
+            assert_eq!(again.hypothesis.id, pre.hypothesis.id);
+            assert_eq!(again.hypothesis.types, pre.hypothesis.types);
+            assert_eq!(again.hypothesis.type_keys, pre.hypothesis.type_keys);
+        }
+        let stats = client.stats().expect("stats");
+        assert_eq!(stat_num(&stats, "wal_records_written"), 0.0);
+        handle.shutdown();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

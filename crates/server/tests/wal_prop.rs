@@ -2,7 +2,7 @@
 //! sequences logged through [`Durability`] and replayed must equal
 //! direct application (modulo compaction, which is exactly dedup of
 //! registers plus first-write-wins per solve id, both in first-logged
-//! order), and recovery must
+//! order), the log must hold each key once, and recovery must
 //! succeed — yielding a clean record prefix — at *every* byte-length
 //! prefix of a valid log (crash-at-any-point tolerance).
 
@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use folearn::TypeMode;
 use folearn_logic::vm::EvalEngine;
-use folearn_server::proto::{Request, SolverSpec, WireExample};
-use folearn_server::snapshot::{DurableRecord, Durability, WAL_FILE};
+use folearn_server::proto::{fnv1a64, Request, SolverSpec, WireExample};
+use folearn_server::snapshot::{DurableRecord, Durability, SNAPSHOT_FILE, WAL_FILE};
 use folearn_server::wal::HEADER_LEN;
 use proptest::collection;
 use proptest::prelude::*;
@@ -69,6 +69,27 @@ impl Model {
     }
 }
 
+/// The first record of each key, in append order: what a log that
+/// skips already-durable keys holds.
+fn distinct(records: &[DurableRecord]) -> Vec<DurableRecord> {
+    let mut seen = std::collections::HashSet::new();
+    records
+        .iter()
+        .filter(|r| {
+            seen.insert(match r {
+                DurableRecord::Register { graph_text } => (0, fnv1a64(graph_text.as_bytes())),
+                DurableRecord::Solve { id, .. } => (1, *id),
+            })
+        })
+        .cloned()
+        .collect()
+}
+
+/// Bytes of the frames of `records`.
+fn frame_bytes(records: &[DurableRecord]) -> usize {
+    records.iter().map(|r| HEADER_LEN + r.to_bytes().len()).sum()
+}
+
 fn record_strategy() -> impl Strategy<Value = DurableRecord> {
     // Mutation mix via a discriminant (the vendored proptest has no
     // `prop_oneof!`): roughly 1/3 registers from a small text pool so
@@ -117,31 +138,58 @@ fn record_strategy() -> impl Strategy<Value = DurableRecord> {
 
 proptest! {
     // Every append fsyncs twice, so keep the case count modest; the
-    // interesting coverage is the record mix and the compaction cadence,
+    // interesting coverage is the record mix and the compaction points,
     // not raw volume.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Log → replay ≡ direct application, across compaction boundaries:
-    /// `snapshot_every` as low as 1 forces a compaction on almost every
-    /// append.
+    /// a log without dead frames is never compacted on its own, so a
+    /// quarter of the appends are followed by a forced compaction.
     #[test]
     fn replay_equals_direct_application(
-        records in collection::vec(record_strategy(), 0..24),
+        steps in collection::vec((record_strategy(), 0u32..4), 0..24),
         snapshot_every in 1usize..8,
     ) {
         let dir = fresh_dir("replay");
+        let records: Vec<DurableRecord> = steps.iter().map(|(r, _)| r.clone()).collect();
         {
             let (mut durable, replayed, stats) = Durability::open(&dir, snapshot_every).unwrap();
             prop_assert!(replayed.is_empty(), "fresh dir replays nothing");
             prop_assert_eq!(stats.records_replayed(), 0);
-            for r in &records {
+            for (r, compact) in &steps {
                 durable.append(r).unwrap();
+                if *compact == 0 {
+                    durable.compact().unwrap();
+                }
             }
         }
         let (_durable, replayed, stats) = Durability::open(&dir, snapshot_every).unwrap();
         prop_assert_eq!(Model::applied(&replayed), Model::applied(&records));
         prop_assert_eq!(stats.records_replayed() as usize, replayed.len());
         prop_assert_eq!(stats.torn_tail_truncations, 0, "a clean log has no tear");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each key is logged once: the data dir holds exactly the frames
+    /// of the distinct records, however often a key is appended and
+    /// whatever the compaction cadence.
+    #[test]
+    fn disk_bytes_equal_the_frames_of_the_distinct_records(
+        records in collection::vec(record_strategy(), 0..24),
+        snapshot_every in 1usize..8,
+    ) {
+        let dir = fresh_dir("bytes");
+        let wrote = {
+            let (mut durable, _, _) = Durability::open(&dir, snapshot_every).unwrap();
+            records.iter().filter(|r| durable.append(r).unwrap()).count()
+        };
+        let unique = distinct(&records);
+        prop_assert_eq!(wrote, unique.len(), "append reports each frame it wrote");
+        let on_disk = |name: &str| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+        prop_assert_eq!(
+            (on_disk(SNAPSHOT_FILE) + on_disk(WAL_FILE)) as usize,
+            frame_bytes(&unique)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -163,6 +211,8 @@ proptest! {
                 durable.append(r).unwrap();
             }
         }
+        // Repeated keys were skipped: the log holds the distinct records.
+        let records = distinct(&records);
         let wal_path = dir.join(WAL_FILE);
         let full = std::fs::read(&wal_path).unwrap();
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -173,10 +223,7 @@ proptest! {
         drop(durable);
         prop_assert!(replayed.len() <= records.len());
         prop_assert_eq!(&replayed[..], &records[..replayed.len()], "recovered an exact prefix");
-        let intact_bytes: usize = records[..replayed.len()]
-            .iter()
-            .map(|r| HEADER_LEN + r.to_bytes().len())
-            .sum();
+        let intact_bytes = frame_bytes(&records[..replayed.len()]);
         prop_assert_eq!(
             stats.torn_tail_truncations,
             u64::from(cut > intact_bytes),

@@ -27,6 +27,7 @@ trap 'rm -rf "$SMOKE"; for P in ${SERVER_PID:-} ${ROUTER_PID:-} ${B1_PID:-} ${B2
 
 printf 'colors Red\nvertices 6\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\ncolor 0 Red\ncolor 3 Red\n' > "$SMOKE/graph.txt"
 printf '+ 0\n- 1\n- 2\n+ 3\n- 4\n' > "$SMOKE/sample.txt"
+printf '+ 1\n- 0\n+ 4\n- 5\n' > "$SMOKE/sample2.txt"
 
 "$FOLEARN" serve --addr 127.0.0.1:0 --addr-file "$SMOKE/addr" --workers 1 > "$SMOKE/server.log" &
 SERVER_PID=$!
@@ -69,7 +70,10 @@ grep -q 'shut down cleanly' "$SMOKE/server.log"
 # dir: the pre-crash hypothesis id must answer evaluate with nobody
 # re-registering or re-solving — a volatile restart would answer
 # unknown_hypothesis here — and stats must show the WAL replay behind it.
-# A re-solve after the restart must name the same hypothesis id.
+# A re-solve after the restart must name the same hypothesis id. The
+# restart keeps a one-entry cache: a second sample evicts the first, and
+# re-solving the first re-runs the learner but logs nothing, because its
+# id is already durable.
 "$FOLEARN" serve --addr 127.0.0.1:0 --addr-file "$SMOKE/dur.addr" --workers 1 \
     --data-dir "$SMOKE/durable" > "$SMOKE/dur.log" &
 DUR_PID=$!
@@ -85,7 +89,7 @@ kill -9 "$DUR_PID"; wait "$DUR_PID" 2>/dev/null || true
 DUR_PID=
 rm -f "$SMOKE/dur.addr"
 "$FOLEARN" serve --addr 127.0.0.1:0 --addr-file "$SMOKE/dur.addr" --workers 1 \
-    --data-dir "$SMOKE/durable" > "$SMOKE/dur2.log" &
+    --data-dir "$SMOKE/durable" --cache 1 > "$SMOKE/dur2.log" &
 DUR_PID=$!
 for _ in $(seq 1 50); do [ -s "$SMOKE/dur.addr" ] && break; sleep 0.1; done
 [ -s "$SMOKE/dur.addr" ] || { echo "tier1: durable server never came back" >&2; exit 1; }
@@ -103,6 +107,20 @@ grep -qx "hypothesis id:   $HYP" "$SMOKE/dur-resolve.txt" || {
 "$FOLEARN" client --addr "$DADDR" --action stats > "$SMOKE/dur-stats.txt"
 grep -q '"durable": true' "$SMOKE/dur-stats.txt"
 grep -Eq '"wal_records_replayed": [1-9]' "$SMOKE/dur-stats.txt"
+grep -q '"wal_records_written": 0,' "$SMOKE/dur-stats.txt"
+"$FOLEARN" client --addr "$DADDR" --action solve --graph "$SMOKE/graph.txt" \
+    --examples "$SMOKE/sample2.txt" --ell 1 --q 1 > "$SMOKE/dur-solve2.txt"
+grep -q 'cached:          no' "$SMOKE/dur-solve2.txt"
+"$FOLEARN" client --addr "$DADDR" --action solve --graph "$SMOKE/graph.txt" \
+    --examples "$SMOKE/sample.txt" --ell 1 --q 1 > "$SMOKE/dur-evicted.txt"
+grep -q 'cached:          no' "$SMOKE/dur-evicted.txt"
+grep -qx "hypothesis id:   $HYP" "$SMOKE/dur-evicted.txt"
+"$FOLEARN" client --addr "$DADDR" --action stats > "$SMOKE/dur-stats2.txt"
+grep -q '"wal_records_written": 1,' "$SMOKE/dur-stats2.txt" || {
+    echo "tier1: expected exactly one WAL record (the second sample's solve)" >&2
+    grep wal_records "$SMOKE/dur-stats2.txt" >&2
+    exit 1
+}
 "$FOLEARN" client --addr "$DADDR" --action shutdown
 wait "$DUR_PID"
 DUR_PID=

@@ -20,7 +20,10 @@ USAGE:
   folearn dot        --graph G.txt
   folearn serve      [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
                      [--max-requests N] [--addr-file PATH] [--max-line BYTES]
-                     [--idle-ms MS] [--max-conns N]
+                     [--idle-ms MS] [--max-conns N] [--data-dir DIR]
+                     [--snapshot-every N (fewest WAL appends between
+                      compaction checks; a check compacts only when dead
+                      records outnumber live ones)]
   folearn route      --backends H:P,H:P,... [--replicas R] [--hedge-ms MS]
                      [--vnodes N] [--eject-after N] [--addr HOST:PORT]
                      [--addr-file PATH] [--timeout-ms MS] [--retries N]
