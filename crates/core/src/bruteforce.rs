@@ -178,6 +178,24 @@ fn sweep(
     folearn_obs::meta("block", Json::int(block));
     folearn_obs::meta("prune", Json::Bool(prune));
 
+    if total == 1 {
+        // One tuple (ℓ = 0, or a one-vertex graph): nothing to schedule
+        // or prune against, so fit it once in the shared arena instead of
+        // typing every example in a private arena first. The shared arena
+        // sees exactly the final fit either way.
+        let params = vec![V(0); ell];
+        let (hypothesis, wrong) = fit_with_params_counted(g, examples, &params, q, mode, arena);
+        folearn_obs::count(Counter::EvaluatedParams, 1);
+        drop(sweep_span);
+        return BruteForceResult {
+            hypothesis,
+            error: error_rate(wrong, examples.len()),
+            evaluated_params: 1,
+            pruned_params: 0,
+            touched_params: 1,
+        };
+    }
+
     let states = rayon::sweep::worker_sweep(
         total,
         block,
@@ -546,6 +564,60 @@ mod tests {
                             "threads={threads} prune={prune} block={block} at {v}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// ℓ = 0 holds one tuple, fitted once in the shared arena: the
+    /// result, the work counts and every interned type must match the
+    /// sequential reference, on a realisable and an unrealisable sample.
+    #[test]
+    fn single_tuple_fit_matches_sequential_reference() {
+        let g = generators::periodically_colored(
+            &generators::path(9, Vocabulary::new(["Red"])),
+            ColorId(0),
+            3,
+        );
+        let realisable =
+            TrainingSequence::label_all_tuples(&g, 1, |t| g.has_color(t[0], ColorId(0)));
+        let mut unrealisable = realisable.clone();
+        unrealisable.push(crate::problem::Example::new(vec![V(0)], false));
+        for (name, examples) in [("realisable", realisable), ("unrealisable", unrealisable)] {
+            for q in [0, 1, 2] {
+                let inst = ErmInstance::new(&g, examples.clone(), 1, 0, q, 0.0);
+                let reference_arena = arena_for(&g);
+                let reference =
+                    brute_force_erm_sequential(&inst, TypeMode::Global, &reference_arena);
+                for threads in [1, 3] {
+                    let arena = arena_for(&g);
+                    let opts = BruteForceOpts {
+                        threads: Some(threads),
+                        ..BruteForceOpts::default()
+                    };
+                    let res = brute_force_erm_with(&inst, TypeMode::Global, &arena, &opts);
+                    let at = format!("{name} q={q} threads={threads}");
+                    assert_eq!(res.error.to_bits(), reference.error.to_bits(), "{at}");
+                    assert_eq!(
+                        res.hypothesis.params(),
+                        reference.hypothesis.params(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        res.hypothesis.positive_types(),
+                        reference.hypothesis.positive_types(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        (res.evaluated_params, res.pruned_params, res.touched_params),
+                        (1, 0, 1),
+                        "{at}"
+                    );
+                    assert_eq!(reference.touched_params, 1, "{at}");
+                    let nodes = |a: &Arc<Mutex<TypeArena>>| {
+                        a.lock().iter().map(|(_, n)| n.clone()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(nodes(&arena), nodes(&reference_arena), "{at}");
                 }
             }
         }

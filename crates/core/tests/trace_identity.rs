@@ -110,4 +110,17 @@ fn traced_runs_are_bit_identical_to_untraced() {
         roots[2].find("nd.learn").is_some(),
         "the ND learner records a span"
     );
+
+    // ℓ = 0 skips the worker sweep but still records one `erm.sweep`
+    // span that counts its single tuple once.
+    let g = generators::random_tree(18, Vocabulary::empty(), 5);
+    let examples = TrainingSequence::label_all_tuples(&g, 1, |t| t[0] == V(9));
+    let inst = ErmInstance::new(&g, examples, 1, 0, 1, 0.2);
+    let report = solve_fo_erm(&inst, &solvers()[1], &shared_arena(&g));
+    let roots = folearn_obs::take_thread_roots();
+    assert_eq!(roots.len(), 1);
+    let sweep = roots[0].find("erm.sweep").expect("ℓ = 0 records a sweep");
+    assert_eq!(sweep.total(Counter::EvaluatedParams), 1);
+    assert_eq!(sweep.total(Counter::PrunedParams), 0);
+    assert_eq!((report.evaluated_params, report.pruned_params), (1, 0));
 }

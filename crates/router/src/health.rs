@@ -10,9 +10,9 @@
 //! list — and a single success restores them.
 //!
 //! On top of that, the router runs one background maintenance thread
-//! driven by [`run_probe_loop`]: each tick it sweeps every backend's
-//! `inventory` and repairs the diff against the router's placement
-//! tables (anti-entropy; the sweep itself lives in `router.rs`). The
+//! driven by [`run_probe_loop`]: each tick it fetches every backend's
+//! structure hashes and repairs the diff against the router's placement
+//! table (anti-entropy; the sweep itself lives in `router.rs`). The
 //! sweep doubles as an active health probe — a successful exchange
 //! restores an ejected backend even with zero client traffic, and a
 //! dead one takes its strikes here instead of on a client's request.

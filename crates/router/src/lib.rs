@@ -22,10 +22,10 @@
 //!   from rotation and re-probed occasionally; a successful probe
 //!   restores it.
 //! * **Anti-entropy** ([`router`], paced by [`health`]) — a background
-//!   pass diffs each backend's `inventory` against the router's
-//!   placement tables, re-seeds structures a replica has lost, and
-//!   replicates hypothesis bindings ahead of need, so a restarted
-//!   backend is repaired before traffic finds the hole.
+//!   pass diffs each backend's structure hashes (`inventory` with
+//!   `hypotheses: false`) against the router's placement table and
+//!   re-seeds structures a replica has lost, so a restarted backend
+//!   holds its structures before traffic finds the hole.
 //!
 //! The router speaks the *same* newline-delimited JSON protocol as the
 //! backends on its front socket, so every existing client — the CLI,

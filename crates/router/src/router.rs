@@ -36,8 +36,8 @@
 //!   re-seeded from the router's stored canonical text and the call is
 //!   retried on the spot.
 //! * A background anti-entropy pass (every
-//!   [`RouterConfig::repair_interval`]) sweeps each backend's
-//!   `inventory` and re-seeds structures a replica has lost, so a
+//!   [`RouterConfig::repair_interval`]) fetches each backend's
+//!   structure hashes and re-seeds structures a replica has lost, so a
 //!   restarted backend holds its structures before traffic finds the
 //!   hole. Hypotheses are not replicated ahead of need: `evaluate`,
 //!   their one reader, re-derives a missing one on the spot.
@@ -133,9 +133,9 @@ pub struct RouterConfig {
     pub idle_timeout: Duration,
     /// Concurrent front-door connections accepted.
     pub max_connections: usize,
-    /// Period of the background anti-entropy pass: the router sweeps
-    /// every backend's `inventory` and re-seeds structures a replica
-    /// has lost. `None` disables the pass (structures are then re-seeded
+    /// Period of the background anti-entropy pass: the router fetches
+    /// every backend's structure hashes and re-seeds structures a
+    /// replica has lost. `None` disables the pass (structures are then re-seeded
     /// only lazily, on the request path, as hypotheses always are).
     pub repair_interval: Option<Duration>,
     /// Allow per-solve trace stitching (router spans wrapping each
@@ -434,7 +434,10 @@ struct RouterDispatch {
 
 impl EventHandler for RouterDispatch {
     fn dispatch(&self, req: Request, responder: Responder) -> Dispatch {
-        if matches!(req, Request::Ping | Request::Shutdown | Request::Inventory) {
+        if matches!(
+            req,
+            Request::Ping | Request::Shutdown | Request::Inventory { .. }
+        ) {
             responder.complete(handle_request(&self.state, req));
             return Dispatch::Accepted;
         }
@@ -488,22 +491,26 @@ fn handle_request(state: &Arc<RouterState>, req: Request) -> Response {
             }
             Response::Stats { data }
         }
-        // The router's own inventory: its placement table and the
-        // hypothesis ids it has routed. Lets an operator (or an outer
-        // router tier) diff the front door the same way the front door
-        // diffs its backends.
-        Request::Inventory => {
+        // The router's own inventory: its placement table and (unless
+        // the caller asked for structures only) the hypothesis ids it
+        // has routed. Lets an operator (or an outer router tier) diff
+        // the front door the same way the front door diffs its backends.
+        Request::Inventory { hypotheses } => {
             let mut structures: Vec<u64> = state.structures.lock().keys().copied().collect();
             structures.sort_unstable();
-            let mut hypotheses: Vec<WireBinding> = state
-                .hyps
-                .lock()
-                .iter()
-                .map(|(&id, solve)| WireBinding {
-                    id,
-                    structure: structure_of(solve),
-                })
-                .collect();
+            let mut hypotheses: Vec<WireBinding> = if hypotheses {
+                state
+                    .hyps
+                    .lock()
+                    .iter()
+                    .map(|(&id, solve)| WireBinding {
+                        id,
+                        structure: structure_of(solve),
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
             hypotheses.sort_unstable_by_key(|b| b.id);
             Response::Inventory {
                 structures,
@@ -1188,11 +1195,12 @@ fn evaluate_on(
 // anti-entropy: inventory diff and repair
 // ---------------------------------------------------------------------
 
-/// One anti-entropy sweep over every backend: fetch its `inventory`,
-/// diff its structures against the router's placement table, and
-/// re-seed any structure placed on the backend but missing from it (it
-/// restarted without durable state) from the stored canonical text —
-/// counted as `repairs_performed`. Hypotheses are left to `evaluate`,
+/// One anti-entropy sweep over every backend: fetch its structure
+/// hashes (`inventory` with `hypotheses: false`, so no backend walks its
+/// hypothesis store), diff them against the router's placement table,
+/// and re-seed any structure placed on the backend but missing from it
+/// (it restarted without durable state) from the stored canonical text
+/// — counted as `repairs_performed`. Hypotheses are left to `evaluate`,
 /// which re-derives a missing one on demand.
 ///
 /// The sweep doubles as an active health probe: transport failures
@@ -1201,18 +1209,24 @@ fn evaluate_on(
 /// old to speak `inventory` answers with a server-side error; it is
 /// skipped without a strike — alive, just not repairable.
 fn repair_pass(state: &Arc<RouterState>) {
-    // Snapshot the table outside any backend I/O so a slow backend
-    // never holds the request path's locks.
-    let structures: HashMap<u64, StructureEntry> = state.structures.lock().clone();
+    // Snapshot the placement outside any backend I/O so a slow backend
+    // never holds the request path's locks. Graph texts are looked up
+    // only for a structure that must be re-registered.
+    let placed: Vec<(u64, Vec<usize>)> = state
+        .structures
+        .lock()
+        .iter()
+        .map(|(&hash, entry)| (hash, entry.replicas.clone()))
+        .collect();
     for bi in 0..state.backends.len() {
-        repair_backend(state, bi, &structures);
+        repair_backend(state, bi, &placed);
     }
 }
 
 /// Diff-and-repair one backend; see [`repair_pass`]. Stops at the first
 /// transport failure — the connection's state is unknown past it, and
 /// the next sweep picks up where this one left off.
-fn repair_backend(state: &Arc<RouterState>, bi: usize, structures: &HashMap<u64, StructureEntry>) {
+fn repair_backend(state: &Arc<RouterState>, bi: usize, placed: &[(u64, Vec<usize>)]) {
     let started = Instant::now();
     let mut client = match state.checkout(bi) {
         Ok(c) => c,
@@ -1221,8 +1235,8 @@ fn repair_backend(state: &Arc<RouterState>, bi: usize, structures: &HashMap<u64,
             return;
         }
     };
-    let have: HashSet<u64> = match client.inventory() {
-        Ok((structures, _)) => structures.into_iter().collect(),
+    let have: HashSet<u64> = match client.structures() {
+        Ok(structures) => structures.into_iter().collect(),
         Err(ClientError::Server { .. }) => {
             // Pre-inventory backend: a clean protocol exchange, so it
             // is alive — no strike, nothing to diff.
@@ -1237,12 +1251,20 @@ fn repair_backend(state: &Arc<RouterState>, bi: usize, structures: &HashMap<u64,
     };
     state.note_result(bi, true, started.elapsed());
 
-    for (hash, entry) in structures {
-        if !entry.replicas.contains(&bi) || have.contains(hash) {
+    for (hash, replicas) in placed {
+        if !replicas.contains(&bi) || have.contains(hash) {
             continue;
         }
+        let Some(graph_text) = state
+            .structures
+            .lock()
+            .get(hash)
+            .map(|entry| entry.graph_text.clone())
+        else {
+            continue;
+        };
         let started = Instant::now();
-        match client.register(&entry.graph_text) {
+        match client.register(&graph_text) {
             Ok(_) => {
                 state.metrics.add("repairs_performed", 1);
                 state.note_result(bi, true, started.elapsed());

@@ -562,42 +562,53 @@ fn identical_routed_solves_share_one_content_addressed_id() {
     }
 }
 
-/// A stand-in for a backend built before ids were content addresses:
-/// it relays every frame to `upstream` but renumbers each `solved`
-/// reply from a counter, the way such a build named its hypotheses.
-fn counter_id_backend(upstream: std::net::SocketAddr) -> std::net::SocketAddr {
+/// A line relay to `upstream`: every request line (`true`) and reply
+/// line (`false`) passes through `edit` on its way.
+fn relay_backend(
+    upstream: std::net::SocketAddr,
+    edit: impl Fn(bool, String) -> String + Send + Sync + 'static,
+) -> std::net::SocketAddr {
     use std::io::{BufRead, BufReader, Write};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
-    let next = Arc::new(AtomicU64::new(1));
+    let edit = Arc::new(edit);
     std::thread::spawn(move || {
         for down in listener.incoming() {
             let (Ok(down), Ok(up)) = (down, std::net::TcpStream::connect(upstream)) else {
                 return;
             };
-            let (mut up_w, mut down_r) = (up.try_clone().unwrap(), down.try_clone().unwrap());
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut down_r, &mut up_w);
-                let _ = up_w.shutdown(std::net::Shutdown::Write);
-            });
-            let next = Arc::clone(&next);
-            std::thread::spawn(move || {
-                let mut down = down;
-                for line in BufReader::new(up).lines() {
-                    let Ok(mut line) = line else { break };
-                    if let Ok(Response::Solved(mut o)) = Response::decode(&line) {
-                        o.hypothesis.id = next.fetch_add(1, Ordering::SeqCst);
-                        line = Response::Solved(o).encode();
+            let (down_r, up_r) = (down.try_clone().unwrap(), up.try_clone().unwrap());
+            for (from, mut to, request) in [(down_r, up, true), (up_r, down, false)] {
+                let edit = Arc::clone(&edit);
+                std::thread::spawn(move || {
+                    for line in BufReader::new(from).lines() {
+                        let Ok(line) = line else { break };
+                        if writeln!(to, "{}", edit(request, line)).is_err() {
+                            break;
+                        }
                     }
-                    if writeln!(down, "{line}").is_err() {
-                        break;
-                    }
-                }
-                let _ = down.shutdown(std::net::Shutdown::Both);
-            });
+                    let _ = to.shutdown(std::net::Shutdown::Write);
+                });
+            }
         }
     });
     addr
+}
+
+/// A stand-in for a backend built before ids were content addresses:
+/// it relays every frame to `upstream` but renumbers each `solved`
+/// reply from a counter, the way such a build named its hypotheses.
+fn counter_id_backend(upstream: std::net::SocketAddr) -> std::net::SocketAddr {
+    let next = AtomicU64::new(1);
+    relay_backend(upstream, move |request, line| {
+        match (request, Response::decode(&line)) {
+            (false, Ok(Response::Solved(mut o))) => {
+                o.hypothesis.id = next.fetch_add(1, Ordering::SeqCst);
+                Response::Solved(o).encode()
+            }
+            _ => line,
+        }
+    })
 }
 
 /// The router files an answer only under its content address: a backend
@@ -649,6 +660,141 @@ fn a_backend_that_renumbers_solves_cannot_rename_a_routed_answer() {
         );
     }
     mixed.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// Every line that crosses a [`recording_backend`] relay, per direction.
+#[derive(Default)]
+struct Recorded {
+    requests: Vec<String>,
+    replies: Vec<String>,
+}
+
+/// A transparent relay to `upstream` that keeps a copy of every
+/// request and reply line it forwards.
+fn recording_backend(
+    upstream: std::net::SocketAddr,
+) -> (std::net::SocketAddr, Arc<std::sync::Mutex<Recorded>>) {
+    let log = Arc::new(std::sync::Mutex::new(Recorded::default()));
+    let relay_log = Arc::clone(&log);
+    let addr = relay_backend(upstream, move |request, line| {
+        let mut log = relay_log.lock().unwrap();
+        let side = if request {
+            &mut log.requests
+        } else {
+            &mut log.replies
+        };
+        side.push(line.clone());
+        line
+    });
+    (addr, log)
+}
+
+/// The anti-entropy sweep asks for structure hashes only: every
+/// `inventory` line it sends carries `"hypotheses": false`, and a
+/// backend holding hypotheses answers it with none. A direct
+/// `inventory` still lists every binding.
+#[test]
+fn the_repair_sweep_fetches_structures_only() {
+    let (addrs, by_addr) = spawn_backends(3);
+    let upstream: std::net::SocketAddr = addrs[0].parse().expect("backend addr");
+    let (relay, log) = recording_backend(upstream);
+    let router = start_router(&RouterConfig {
+        backends: vec![relay.to_string(), addrs[1].clone(), addrs[2].clone()],
+        replicas: 3,
+        client: ClientConfig::with_deadline(Duration::from_secs(5)),
+        repair_interval: Some(Duration::from_millis(50)),
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    let structure = Client::connect(router.addr())
+        .expect("client connects")
+        .register(&io::to_text(&colored_path(8, 4)))
+        .expect("register");
+
+    // Give the relayed backend hypotheses of its own to not list.
+    let spec = SolverSpec::default_brute();
+    let mut direct = Client::connect(upstream).expect("connect to the backend");
+    let mut ids: Vec<u64> = (0..3u32)
+        .map(|i| {
+            let sample = vec![
+                WireExample {
+                    tuple: vec![i],
+                    label: true,
+                },
+                WireExample {
+                    tuple: vec![i + 1],
+                    label: false,
+                },
+            ];
+            direct
+                .solve(structure, sample, 1, 0, 0.25, spec.clone())
+                .expect("direct solve")
+                .hypothesis
+                .id
+        })
+        .collect();
+    ids.sort_unstable();
+
+    // Requests carry their kind in `op`, replies in `resp`.
+    let inventories = |lines: &[String], tag: &str| -> Vec<String> {
+        let tagged = |l: &&String| {
+            Json::parse(l).is_ok_and(|v| v.get(tag).and_then(Json::as_str) == Some("inventory"))
+        };
+        lines.iter().filter(tagged).cloned().collect()
+    };
+    let settled = || {
+        let log = log.lock().unwrap();
+        let sent = inventories(&log.requests, "op");
+        let got = inventories(&log.replies, "resp");
+        (sent.len() >= 3 && got.len() >= 3).then_some((sent, got))
+    };
+    let mut swept = None;
+    for _ in 0..200 {
+        swept = settled();
+        if swept.is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let (sent, got) = swept.expect("the relayed backend was not swept three times");
+    for line in &sent {
+        assert!(line.contains(r#""hypotheses": false"#), "sweep sent {line}");
+        assert_eq!(
+            Request::decode(line),
+            Ok(Request::Inventory { hypotheses: false })
+        );
+    }
+    for line in &got {
+        match Response::decode(line) {
+            Ok(Response::Inventory {
+                structures,
+                hypotheses,
+            }) => {
+                assert_eq!(structures, [structure], "{line}");
+                assert!(
+                    hypotheses.is_empty(),
+                    "sweep reply listed hypotheses: {line}"
+                );
+            }
+            other => panic!("not an inventory reply: {other:?}"),
+        }
+    }
+
+    let (structures, bindings) = direct.inventory().expect("direct inventory");
+    assert_eq!(structures, [structure]);
+    assert_eq!(
+        bindings
+            .iter()
+            .map(|b| (b.id, b.structure))
+            .collect::<Vec<_>>(),
+        ids.iter().map(|&id| (id, structure)).collect::<Vec<_>>(),
+        "a direct inventory lists every binding"
+    );
+
+    router.shutdown();
     for (_, h) in by_addr {
         h.shutdown();
     }

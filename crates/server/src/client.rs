@@ -286,18 +286,28 @@ pub trait ClientApi {
         }
     }
 
-    /// Fetch the daemon's content inventory: sorted structure hashes
-    /// plus sorted `(hypothesis id, structure)` pairs. The router's
-    /// anti-entropy pass diffs the structures against expected
-    /// placement.
+    /// Fetch the daemon's full content inventory: sorted structure
+    /// hashes plus sorted `(hypothesis id, structure)` pairs, one per
+    /// hypothesis the daemon holds.
     fn inventory(
         &mut self,
     ) -> Result<(Vec<u64>, Vec<crate::proto::WireBinding>), ClientError> {
-        match self.call(&Request::Inventory)? {
+        match self.call(&Request::Inventory { hypotheses: true })? {
             Response::Inventory {
                 structures,
                 hypotheses,
             } => Ok((structures, hypotheses)),
+            other => Err(unexpected("inventory", &other)),
+        }
+    }
+
+    /// Fetch only the sorted structure hashes of the daemon's inventory
+    /// (`inventory` with `hypotheses: false`): the daemon never walks
+    /// its hypothesis store. The router's anti-entropy pass diffs these
+    /// against expected placement.
+    fn structures(&mut self) -> Result<Vec<u64>, ClientError> {
+        match self.call(&Request::Inventory { hypotheses: false })? {
+            Response::Inventory { structures, .. } => Ok(structures),
             other => Err(unexpected("inventory", &other)),
         }
     }

@@ -328,7 +328,14 @@ pub enum Request {
     /// hypotheses it holds. The anti-entropy repair pass diffs the
     /// structures against the router's placement to re-seed only what a
     /// crashed-and-restarted backend actually lost.
-    Inventory,
+    Inventory {
+        /// List the hypotheses too. `false` asks for the structure
+        /// hashes alone (the reply's `hypotheses` array is empty), so the
+        /// daemon never walks its hypothesis store: that is what the
+        /// repair sweep sends. On the wire the field appears only when
+        /// `false`; a request without it lists everything.
+        hypotheses: bool,
+    },
     /// Ask the daemon to shut down gracefully.
     Shutdown,
 }
@@ -353,7 +360,7 @@ impl Request {
             Request::Evaluate { .. } => "evaluate",
             Request::ModelCheck { .. } => "modelcheck",
             Request::Stats => "stats",
-            Request::Inventory => "inventory",
+            Request::Inventory { .. } => "inventory",
             Request::Shutdown => "shutdown",
         }
     }
@@ -448,7 +455,11 @@ impl Request {
                 ("trace", trace_json(trace)),
             ]),
             Request::Stats => Json::obj([("op", Json::str("stats"))]),
-            Request::Inventory => Json::obj([("op", Json::str("inventory"))]),
+            Request::Inventory { hypotheses: true } => Json::obj([("op", Json::str("inventory"))]),
+            Request::Inventory { hypotheses: false } => Json::obj([
+                ("op", Json::str("inventory")),
+                ("hypotheses", Json::Bool(false)),
+            ]),
             Request::Shutdown => Json::obj([("op", Json::str("shutdown"))]),
         }
     }
@@ -527,7 +538,12 @@ impl Request {
                 trace: get_trace(v)?,
             }),
             "stats" => Ok(Request::Stats),
-            "inventory" => Ok(Request::Inventory),
+            "inventory" => Ok(Request::Inventory {
+                hypotheses: match v.get("hypotheses") {
+                    None => true,
+                    Some(_) => get_bool(v, "hypotheses")?,
+                },
+            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(ProtoError::new(format!("unknown op {other:?}"))),
         }
@@ -741,7 +757,8 @@ pub enum Response {
     Inventory {
         /// Content hashes of registered structures, sorted.
         structures: Vec<u64>,
-        /// Hypotheses `(id, structure)`, sorted by id.
+        /// Hypotheses `(id, structure)`, sorted by id; empty when the
+        /// request set `hypotheses: false`.
         hypotheses: Vec<WireBinding>,
     },
     /// Any request-level failure.
@@ -1126,7 +1143,8 @@ mod tests {
                 }),
             },
             Request::Stats,
-            Request::Inventory,
+            Request::Inventory { hypotheses: true },
+            Request::Inventory { hypotheses: false },
             Request::Shutdown,
         ]
     }

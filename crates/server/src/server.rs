@@ -527,8 +527,8 @@ impl EventHandler for ServerDispatch {
                 responder.complete(handle_stats(&self.state, &self.pool));
                 Dispatch::Accepted
             }
-            Request::Inventory => {
-                responder.complete(handle_inventory(&self.state));
+            Request::Inventory { hypotheses } => {
+                responder.complete(handle_inventory(&self.state, hypotheses));
                 Dispatch::Accepted
             }
             Request::Register { graph_text } => {
@@ -708,22 +708,27 @@ fn handle_register(state: &Arc<State>, graph_text: &str) -> Response {
     }
 }
 
-/// Answer `inventory`: sorted structure hashes plus the sorted
-/// `(id, structure)` pairs of the store, cheap enough to serve inline
-/// on a loop thread. Sorting makes two inventories comparable
-/// byte-for-byte.
-fn handle_inventory(state: &Arc<State>) -> Response {
+/// Answer `inventory` inline on a loop thread: sorted structure hashes,
+/// plus (when `hypotheses` is set) the sorted `(id, structure)` pairs
+/// of the store. Without them the store is never touched, so the
+/// repair sweep's cost tracks the structures, not every solve ever
+/// answered. Sorting makes two inventories comparable byte-for-byte.
+fn handle_inventory(state: &Arc<State>, hypotheses: bool) -> Response {
     let mut structures: Vec<u64> = state.graphs.entries().into_iter().map(|(k, _)| k).collect();
     structures.sort_unstable();
-    let mut hypotheses: Vec<WireBinding> = state
-        .hypotheses
-        .entries()
-        .into_iter()
-        .map(|(id, h)| WireBinding {
-            id,
-            structure: h.structure,
-        })
-        .collect();
+    let mut hypotheses: Vec<WireBinding> = if hypotheses {
+        state
+            .hypotheses
+            .entries()
+            .into_iter()
+            .map(|(id, h)| WireBinding {
+                id,
+                structure: h.structure,
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     hypotheses.sort_unstable_by_key(|b| b.id);
     Response::Inventory {
         structures,

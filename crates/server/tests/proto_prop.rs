@@ -180,14 +180,44 @@ proptest! {
     }
 
     #[test]
-    fn bare_requests_round_trip(kind in 0usize..4) {
+    fn bare_requests_round_trip(kind in 0usize..5) {
         let req = match kind {
             0 => Request::Ping,
             1 => Request::Stats,
-            2 => Request::Inventory,
+            2 => Request::Inventory { hypotheses: true },
+            3 => Request::Inventory { hypotheses: false },
             _ => Request::Shutdown,
         };
         assert_request_round_trip(&req)?;
+    }
+
+    /// A full `inventory` keeps the wire line it always had; only the
+    /// structures-only form carries the field, and the field must be a
+    /// boolean.
+    #[test]
+    fn inventory_field_is_sent_only_when_false(junk in nasty_string(), n in 0u32..1000) {
+        prop_assert_eq!(
+            Request::Inventory { hypotheses: true }.encode(),
+            r#"{"op": "inventory"}"#
+        );
+        prop_assert_eq!(
+            Request::Inventory { hypotheses: false }.encode(),
+            r#"{"op": "inventory", "hypotheses": false}"#
+        );
+        prop_assert_eq!(
+            Request::decode(r#"{"op":"inventory","hypotheses":true}"#),
+            Ok(Request::Inventory { hypotheses: true })
+        );
+        prop_assert_eq!(Request::Inventory { hypotheses: false }.op(), "inventory");
+        for bad in [
+            Json::Str(junk),
+            Json::int(n as usize),
+            Json::Null,
+            Json::Arr(vec![Json::Bool(false)]),
+        ] {
+            let line = Json::obj([("op", Json::str("inventory")), ("hypotheses", bad)]).render();
+            prop_assert!(Request::decode(&line).is_err(), "{} decoded", line);
+        }
     }
 
     #[test]

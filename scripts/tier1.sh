@@ -223,6 +223,13 @@ grep -q 'verdict: PASS' "$SMOKE/e9.txt"
 target/release/exp_e10_gaifman > "$SMOKE/e10.txt"
 grep -q 'verdict: PASS' "$SMOKE/e10.txt"
 
+# --- Lemma 7 reduction end to end (hermetic: no I/O) -----------------------
+# E1 + E12 run the reduction against the brute-force ERM oracle (its ℓ = 0
+# solves included) and an adversarial one; reduced answers must equal
+# direct model checking. Finishes in about 0.1 s.
+target/release/exp_e1_hardness > "$SMOKE/e1.txt"
+grep -q 'verdict: PASS' "$SMOKE/e1.txt"
+
 # --- fault-injection smoke test (hermetic: loopback only) -----------------
 # Drives the Lemma 7 reduction and a loadgen mix through the deterministic
 # chaos proxy under every fault mode; the binary exits nonzero unless all
