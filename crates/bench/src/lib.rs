@@ -2,9 +2,8 @@
 //!
 //! Each experiment in DESIGN.md's per-experiment index is a binary in
 //! `src/bin/exp_*.rs` that prints (a) the paper claim it validates,
-//! (b) a table of measurements, and (c) a one-line verdict. The
-//! Criterion benchmarks in `benches/` mirror the timing-shaped
-//! experiments.
+//! (b) a table of measurements, and (c) a one-line verdict; a failed
+//! verdict is also the process's exit status.
 
 use std::time::{Duration, Instant};
 
@@ -128,10 +127,14 @@ pub fn banner(id: &str, claim: &str) {
     println!();
 }
 
-/// Print the standard verdict footer.
+/// Print the standard verdict footer; a `FAIL` exits with status 1, so
+/// scripts can gate on the exit status alone.
 pub fn verdict(ok: bool, text: &str) {
     println!();
     println!("verdict: {} — {text}", if ok { "PASS" } else { "FAIL" });
+    if !ok {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

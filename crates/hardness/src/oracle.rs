@@ -228,7 +228,7 @@ impl RemoteOracle {
     }
 
     /// Connect with explicit socket deadlines and a retry policy — what
-    /// the fault experiments (E19) use to survive an unreliable path.
+    /// the fault tests use to survive an unreliable path.
     pub fn connect_with(
         addr: impl std::net::ToSocketAddrs,
         config: ClientConfig,

@@ -123,17 +123,18 @@ fn reduction_survives_an_unreliable_path_bit_identically() {
 
     let g = colored_path(7, 3);
     let vocab = g.vocab().as_ref().clone();
-    let sentence = "forall x0. Red(x0) -> exists x1. E(x0, x1) & !Red(x1)";
-    let phi = parse(sentence, &vocab).unwrap();
-    let direct = eval::models(&g, &phi);
+    let sentences = [
+        "exists x0. Red(x0) & exists x1. E(x0, x1) & Red(x1)",
+        "forall x0. Red(x0) -> exists x1. E(x0, x1) & !Red(x1)",
+        "(exists x0. Red(x0)) & !(forall x0. Red(x0))",
+    ];
+    let deadline = Duration::from_millis(250);
 
-    let mut local = BruteForceOracle::new();
-    let local_report = model_check_via_erm(&g, &phi, &mut local);
-
-    // Drop needs a low rate (every fault costs a read deadline);
+    // Drop and delay need low rates (every fault costs a read deadline);
     // truncate and garble fail fast, so they can fault more often.
     for (kind, rate) in [
-        (FaultKind::Drop, 0.04),
+        (FaultKind::Drop, 0.01),
+        (FaultKind::Delay, 0.01),
         (FaultKind::Truncate, 0.08),
         (FaultKind::Garble, 0.15),
     ] {
@@ -143,7 +144,9 @@ fn reduction_survives_an_unreliable_path_bit_identically() {
             ChaosConfig {
                 kind,
                 rate,
-                delay: Duration::from_millis(150),
+                // Past the deadline: a delayed frame times the call out
+                // instead of merely slowing it down.
+                delay: deadline + Duration::from_millis(150),
                 direction: Direction::Both,
                 seed: 99,
             },
@@ -151,9 +154,9 @@ fn reduction_survives_an_unreliable_path_bit_identically() {
         .expect("proxy starts");
         let mut remote = RemoteOracle::connect_with(
             proxy.addr(),
-            ClientConfig::with_deadline(Duration::from_millis(250)),
+            ClientConfig::with_deadline(deadline),
             RetryPolicy {
-                max_retries: 10,
+                max_retries: 12,
                 base_delay: Duration::from_millis(2),
                 max_delay: Duration::from_millis(40),
                 seed: 1,
@@ -161,22 +164,34 @@ fn reduction_survives_an_unreliable_path_bit_identically() {
         )
         .expect("oracle connects through the proxy");
 
-        let remote_report = model_check_via_erm(&g, &phi, &mut remote);
         let mode = kind.name();
-        assert_eq!(remote_report.result, direct, "[{mode}] verdict wrong");
-        assert_eq!(
-            remote_report.oracle_calls, local_report.oracle_calls,
-            "[{mode}] call-count mismatch"
-        );
-        assert_eq!(
-            remote_report.realizable_calls, local_report.realizable_calls,
-            "[{mode}] realisability split mismatch"
-        );
-        assert_eq!(
-            remote_report.representative_set_sizes, local_report.representative_set_sizes,
-            "[{mode}] Ramsey grouping diverged"
-        );
-        assert_eq!(remote_report.max_depth, local_report.max_depth);
+        for s in sentences {
+            let phi = parse(s, &vocab).unwrap();
+            let mut local = BruteForceOracle::new();
+            let local_report = model_check_via_erm(&g, &phi, &mut local);
+            let remote_report = model_check_via_erm(&g, &phi, &mut remote);
+            assert_eq!(
+                remote_report.result,
+                eval::models(&g, &phi),
+                "[{mode}] verdict wrong on {s}"
+            );
+            assert_eq!(
+                remote_report.oracle_calls, local_report.oracle_calls,
+                "[{mode}] call-count mismatch on {s}"
+            );
+            assert_eq!(
+                remote_report.realizable_calls, local_report.realizable_calls,
+                "[{mode}] realisability split mismatch on {s}"
+            );
+            assert_eq!(
+                remote_report.representative_set_sizes, local_report.representative_set_sizes,
+                "[{mode}] Ramsey grouping diverged on {s}"
+            );
+            assert_eq!(
+                remote_report.max_depth, local_report.max_depth,
+                "[{mode}] depth on {s}"
+            );
+        }
 
         assert!(proxy.faults_injected() > 0, "[{mode}] the proxy never faulted");
         let ts = remote.transport_stats();

@@ -14,8 +14,8 @@
 //! [`set_enabled`], drain finished top-level spans with
 //! [`take_thread_roots`] *on the thread that produced them*. Compiling
 //! the crate without the `capture` feature turns every probe into a
-//! literal no-op, which is the "compiled out" point of the E18 overhead
-//! experiment.
+//! literal no-op (the "compiled out" point of E18's frozen overhead
+//! figures in `BENCH_trace_overhead.json`).
 
 use crate::json::Json;
 

@@ -1,8 +1,10 @@
 //! Acceptance tests for the cluster router: a live 3-node loopback
 //! cluster behind `folearn-cluster` must be indistinguishable — bit for
 //! bit — from the in-process oracle, including with a backend killed
-//! mid-workload and with one router→backend link garbled by the chaos
-//! proxy.
+//! mid-workload, with one router→backend link garbled by the chaos
+//! proxy, and with one backend slow enough that reads hedge around it.
+//! Opted-in solves come back as one stitched span tree across router
+//! and backend.
 //!
 //! Cross-replica identity rests on canonical type keys: each backend
 //! numbers types in its own arena, but `RemoteOracle` groups oracle
@@ -21,9 +23,13 @@ use folearn_logic::parse;
 use folearn_server::{
     hex64, hypothesis_id, start as start_server, ChaosConfig, ChaosProxy, Client, ClientApi,
     ClientConfig, ClientError, Direction, FaultKind, Json, Request, Response, RetryPolicy,
-    ServerConfig, ServerHandle, SolverSpec, WireExample,
+    ServerConfig, ServerHandle, SolveOutcome, SolverSpec, TraceContext, WireExample,
 };
-use folearn_obs::PowHistogram;
+use folearn_obs::export::span_from_json;
+use folearn_obs::{PowHistogram, SpanRecord};
+
+/// Hedged routers fire at the next replica after this much silence.
+const HEDGE_DELAY: Duration = Duration::from_millis(10);
 
 fn colored_path(n: usize, stride: usize) -> Graph {
     let g = generators::path(n, Vocabulary::new(["Red"]));
@@ -42,8 +48,10 @@ fn spawn_backends(n: usize) -> (Vec<String>, HashMap<String, ServerHandle>) {
     (addrs, by_addr)
 }
 
-fn router_over(backends: Vec<String>, replicas: usize) -> RouterHandle {
-    start_router(&RouterConfig {
+/// The tests' router settings: backend calls fail fast (≈30ms of
+/// backoff), so a dead backend surfaces as a recorded failover.
+fn router_config(backends: Vec<String>, replicas: usize) -> RouterConfig {
+    RouterConfig {
         backends,
         replicas,
         client: ClientConfig::with_deadline(Duration::from_secs(5)),
@@ -54,8 +62,60 @@ fn router_over(backends: Vec<String>, replicas: usize) -> RouterHandle {
             seed: 7,
         },
         ..RouterConfig::default()
-    })
-    .expect("router starts")
+    }
+}
+
+fn router_over(backends: Vec<String>, replicas: usize) -> RouterHandle {
+    start_router(&router_config(backends, replicas)).expect("router starts")
+}
+
+/// Register `g` through the router: its structure hash and the ack's
+/// replica list, primary first.
+fn placement(router: &RouterHandle, g: &Graph) -> (u64, Vec<String>) {
+    let mut probe = Client::connect(router.addr()).expect("probe connects");
+    match probe.call(&Request::Register {
+        graph_text: io::to_text(g),
+    }) {
+        Ok(Response::Registered {
+            structure,
+            replicas: Some(replicas),
+            ..
+        }) => (structure, replicas),
+        other => panic!("router register ack must list replicas, got {other:?}"),
+    }
+}
+
+/// Put `backend` behind a proxy that holds every frame 4× the hedge
+/// delay each way, and point `backend` at the proxy.
+fn slow_down(backend: &mut String) -> ChaosProxy {
+    let proxy = ChaosProxy::start(
+        backend.parse().expect("backend addr"),
+        ChaosConfig {
+            kind: FaultKind::Delay,
+            rate: 1.0,
+            delay: 4 * HEDGE_DELAY,
+            direction: Direction::Both,
+            seed: 0x51_0e,
+        },
+    )
+    .expect("delay proxy starts");
+    *backend = proxy.addr().to_string();
+    proxy
+}
+
+/// A red-coloured 7-path whose primary replica sits behind `slow`.
+/// Placement hashes over ephemeral ports, so colourings are tried until
+/// one lands; the path's length, and so the work on it, stays fixed.
+fn slow_primary_structure(router: &RouterHandle, slow: &ChaosProxy) -> (u64, Graph) {
+    let slow = slow.addr().to_string();
+    let path = generators::path(7, Vocabulary::new(["Red"]));
+    (0..64)
+        .map(|seed| generators::randomly_colored(&path, 0.5, seed))
+        .find_map(|g| {
+            let (structure, replicas) = placement(router, &g);
+            (replicas[0] == slow).then_some((structure, g))
+        })
+        .expect("some structure's primary is the slow backend")
 }
 
 fn reports_match(a: &ReductionReport, b: &ReductionReport, context: &str) {
@@ -121,21 +181,9 @@ fn reduction_survives_a_backend_killed_mid_reduction() {
     let vocab = g.vocab().as_ref().clone();
     let expected = baselines(&g);
 
-    // Register through a probe first so we know which backends hold the
-    // structure — the kill must hit a replica that actually serves it.
-    let mut probe = Client::connect(router.addr()).expect("probe connects");
-    let ack = probe
-        .call(&Request::Register {
-            graph_text: io::to_text(&g),
-        })
-        .expect("register through router");
-    let Response::Registered {
-        replicas: Some(replicas),
-        ..
-    } = ack
-    else {
-        panic!("router register ack must list replicas")
-    };
+    // Register first so we know which backends hold the structure —
+    // the kill must hit a replica that actually serves it.
+    let (_, replicas) = placement(&router, &g);
     assert_eq!(replicas.len(), 2, "R=2 placement");
 
     let mut remote = RemoteOracle::connect(router.addr()).expect("oracle connects");
@@ -174,7 +222,10 @@ fn reduction_survives_a_backend_killed_mid_reduction() {
 
     // The router must have actually failed over (and, once the failure
     // streak crossed the threshold, ejected the dead backend).
-    let stats = probe.stats().expect("router stats");
+    let stats = Client::connect(router.addr())
+        .expect("probe connects")
+        .stats()
+        .expect("router stats");
     let retries = stats.get("replica_retries").unwrap().as_usize().unwrap();
     let failovers = stats.get("failovers").unwrap().as_usize().unwrap();
     assert!(retries > 0, "backend died but no replica retry was recorded");
@@ -235,6 +286,224 @@ fn reduction_survives_one_garbled_router_backend_link() {
 
     router.shutdown();
     proxy.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// Hedged reads: one backend holds every frame 4× the hedge delay each
+/// way. Reads of a structure whose primary it is outlast the hedge
+/// delay, so the router fires a hedge at the other replica, which wins
+/// — and the reduction's answers still equal the in-process ones.
+#[test]
+fn hedged_reads_route_around_a_slow_primary_bit_identically() {
+    let (mut addrs, by_addr) = spawn_backends(3);
+    let proxy = slow_down(&mut addrs[0]);
+    let router = start_router(&RouterConfig {
+        hedge_delay: Some(HEDGE_DELAY),
+        ..router_config(addrs, 2)
+    })
+    .expect("router starts");
+
+    let (_, g) = slow_primary_structure(&router, &proxy);
+    let vocab = g.vocab().as_ref().clone();
+    let expected = baselines(&g);
+    let mut remote = RemoteOracle::connect(router.addr()).expect("oracle connects");
+    for (s, baseline) in SENTENCES.iter().zip(&expected) {
+        let phi = parse(s, &vocab).unwrap();
+        reports_match(&model_check_via_erm(&g, &phi, &mut remote), baseline, s);
+    }
+
+    let stats = Client::connect(router.addr())
+        .expect("stats client connects")
+        .stats()
+        .expect("router stats");
+    assert!(num_at(&stats, &["hedges_fired"]) > 0, "no read hedged");
+    assert!(num_at(&stats, &["hedges_won"]) > 0, "no hedge beat the slow primary");
+
+    router.shutdown();
+    proxy.shutdown();
+    for (_, h) in by_addr {
+        h.shutdown();
+    }
+}
+
+/// Every span of a tree, depth first.
+fn spans(rec: &SpanRecord) -> Vec<&SpanRecord> {
+    let mut out = vec![rec];
+    for child in &rec.children {
+        out.extend(spans(child));
+    }
+    out
+}
+
+fn meta<'a>(rec: &'a SpanRecord, key: &str) -> Option<&'a Json> {
+    rec.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// The stitched tree of a traced routed solve, checked complete: a
+/// `router.solve` root with one won `router.attempt`, which holds the
+/// backend's `server.solve` subtree.
+fn stitched(outcome: &SolveOutcome) -> SpanRecord {
+    let trace = outcome.trace.as_ref().expect("a traced solve returns a trace");
+    let root = span_from_json(trace).expect("the stitched trace parses as a span tree");
+    assert_eq!(root.name, "router.solve");
+    let won: Vec<&SpanRecord> = root
+        .children
+        .iter()
+        .filter(|a| {
+            a.name == "router.attempt"
+                && meta(a, "outcome").and_then(Json::as_str) == Some("won")
+        })
+        .collect();
+    assert_eq!(won.len(), 1, "one winning attempt");
+    assert!(
+        spans(won[0]).iter().any(|sp| sp.name == "server.solve"),
+        "the winning attempt carries the backend's subtree"
+    );
+    root
+}
+
+/// The `kind` of each attempt span, in launch order.
+fn attempt_kinds(root: &SpanRecord) -> Vec<&str> {
+    root.children
+        .iter()
+        .filter(|a| a.name == "router.attempt")
+        .filter_map(|a| meta(a, "kind").and_then(Json::as_str))
+        .collect()
+}
+
+/// What a solve answers, minus the backend-local type ids: equal on
+/// every replica, traced or not, cold or replayed.
+fn answer(o: &SolveOutcome) -> (u64, f64, usize, &[u32], &[u64], &str) {
+    let h = &o.hypothesis;
+    (h.id, o.error, o.work, &h.params, &h.type_keys, &h.describe)
+}
+
+/// Distributed tracing through a hedging, failing-over router: each
+/// opted-in solve comes back as one stitched tree — the client's trace
+/// id on the `router.solve` root, a `router.attempt` per backend call
+/// tagged with its kind, the winner's `server.solve` subtree, stamped
+/// `replayed` when the backend answered from its cache — with the same
+/// answer as an untraced solve. The router's `stats` fans in every
+/// backend's snapshot.
+#[test]
+fn traced_solves_stitch_one_tree_through_hedge_failover_and_replay() {
+    let (mut addrs, mut by_addr) = spawn_backends(3);
+    let direct = addrs.clone();
+    let proxy = slow_down(&mut addrs[0]);
+    let router = start_router(&RouterConfig {
+        hedge_delay: Some(HEDGE_DELAY),
+        ..router_config(addrs, 2)
+    })
+    .expect("router starts");
+    let (structure, _) = slow_primary_structure(&router, &proxy);
+    let examples = vec![
+        WireExample {
+            tuple: vec![0],
+            label: true,
+        },
+        WireExample {
+            tuple: vec![1],
+            label: false,
+        },
+    ];
+    let spec = SolverSpec::default_brute();
+    let traced = |c: &mut Client, structure: u64, trace_id: u64| {
+        c.solve_traced(
+            structure,
+            examples.clone(),
+            1,
+            1,
+            0.0,
+            spec.clone(),
+            TraceContext {
+                trace_id,
+                parent: 0x11,
+            },
+        )
+        .expect("traced routed solve")
+    };
+    let mut c = Client::connect(router.addr()).expect("client connects");
+
+    // Cold: the slow primary outlasts the hedge delay, so a hedge joins
+    // the tree; the client's trace context names the root.
+    let cold = traced(&mut c, structure, 0xABCD);
+    assert!(!cold.cached);
+    let root = stitched(&cold);
+    assert_eq!(
+        meta(&root, "trace_id").and_then(Json::as_str),
+        Some(hex64(0xABCD).as_str())
+    );
+    assert_eq!(
+        meta(&root, "parent").and_then(Json::as_str),
+        Some(hex64(0x11).as_str())
+    );
+    assert!(attempt_kinds(&root).contains(&"hedge"), "{:?}", attempt_kinds(&root));
+
+    let plain = c
+        .solve(structure, examples.clone(), 1, 1, 0.0, spec.clone())
+        .expect("untraced routed solve");
+    assert_eq!(answer(&plain), answer(&cold), "tracing changed the answer");
+
+    // Warm: the backend replays its cached answer and stamps the subtree.
+    let warm = traced(&mut c, structure, 0xABCE);
+    assert!(warm.cached);
+    let root = stitched(&warm);
+    assert!(
+        spans(&root).iter().any(|sp| sp.name == "server.solve"
+            && meta(sp, "replayed").and_then(Json::as_bool) == Some(true)),
+        "a cached answer's subtree is stamped replayed"
+    );
+    assert_eq!(answer(&warm), answer(&cold));
+
+    // Fan-in stats: every backend reports, and the merge keeps roles
+    // and the solve histogram.
+    let stats = c.stats().expect("router stats");
+    assert_eq!(stats.get("role").and_then(Json::as_str), Some("router"));
+    assert!(stats.get("uptime_ms").and_then(Json::as_num).is_some());
+    assert_eq!(num_at(&stats, &["cluster", "backends_total"]), 3);
+    assert_eq!(num_at(&stats, &["cluster", "backends_reporting"]), 3);
+    let cluster = stats.get("cluster").expect("a cluster section");
+    assert!(
+        cluster
+            .get("endpoints")
+            .and_then(|e| e.get("solve"))
+            .and_then(|s| s.get("hist"))
+            .is_some(),
+        "merged solve histogram"
+    );
+    let nodes = cluster.get("nodes").and_then(Json::as_arr).expect("node rows");
+    assert_eq!(nodes.len(), 3);
+    assert!(nodes
+        .iter()
+        .all(|r| r.get("role").and_then(Json::as_str) == Some("server")));
+    assert!(stats
+        .get("series")
+        .and_then(|s| s.get("buckets"))
+        .and_then(Json::as_arr)
+        .is_some_and(|b| !b.is_empty()));
+    router.shutdown();
+    proxy.shutdown();
+
+    // Failover: without hedging, kill a structure's primary; the tree
+    // shows the failed primary and the failover that won.
+    let router = start_router(&RouterConfig {
+        hedge_delay: None,
+        ..router_config(direct, 2)
+    })
+    .expect("router starts");
+    let (structure, replicas) = placement(&router, &colored_path(9, 3));
+    by_addr.remove(&replicas[0]).expect("victim handle").shutdown();
+    let o = traced(
+        &mut Client::connect(router.addr()).expect("client connects"),
+        structure,
+        0xABCF,
+    );
+    let root = stitched(&o);
+    assert_eq!(attempt_kinds(&root), ["primary", "failover"]);
+
+    router.shutdown();
     for (_, h) in by_addr {
         h.shutdown();
     }

@@ -4,10 +4,11 @@
 //! forwards newline-delimited frames in both directions, and injects
 //! faults — dropped, delayed, truncated, or garbled frames — under a
 //! seeded RNG, so a "flaky network" run is exactly reproducible from
-//! its seed. Experiment E19 drives the Lemma 7 reduction through this
-//! proxy and asserts the verdicts stay bit-identical to an in-process
-//! run; the retry layer ([`crate::client::RetryingClient`]) is what
-//! makes that true.
+//! its seed. The fault tests (`remote_oracle.rs`, `cluster.rs`,
+//! `loopback.rs`) drive the Lemma 7 reduction and loadgen mixes through
+//! this proxy and assert the answers stay bit-identical to an
+//! in-process run; the retry layer ([`crate::client::RetryingClient`])
+//! is what makes that true.
 //!
 //! # Fault semantics
 //!
@@ -40,7 +41,7 @@
 //! Frames are decided independently with probability
 //! [`ChaosConfig::rate`], per direction, from a per-connection stream
 //! seeded by [`ChaosConfig::seed`] — deterministic given the connection
-//! order, which single-connection tests and the E19 bench guarantee.
+//! order, which single-connection tests guarantee.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -104,7 +105,7 @@ impl Direction {
 }
 
 /// Proxy configuration. `rate == 0.0` makes the proxy a transparent
-/// relay (the E19 baseline).
+/// relay.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Fault applied to selected frames.

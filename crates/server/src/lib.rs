@@ -24,13 +24,13 @@
 //!   build left duplicates), replayed on startup into bit-identical
 //!   pre-crash state;
 //! * [`chaos`] — a deterministic fault-injection proxy (drop / delay /
-//!   truncate / garble / reset frames under a seeded RNG; experiment
-//!   E19);
+//!   truncate / garble / reset frames under a seeded RNG; the fault
+//!   tests drive the reduction through it);
 //! * [`cache`], [`pool`] — the daemon's moving parts, exposed for
 //!   reuse and testing (its metrics are a [`folearn_obs::Registry`]);
 //!   [`pool::ElasticPool`] runs the router's blocking backend calls;
-//! * [`loadgen`] — a deterministic load generator (experiment E17 and
-//!   the `folearn loadgen` subcommand).
+//! * [`loadgen`] — a deterministic load generator (the benchmark, the
+//!   `folearn loadgen` subcommand and tier-1's loadgen smokes).
 //!
 //! # Why a server?
 //!

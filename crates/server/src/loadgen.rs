@@ -3,8 +3,8 @@
 //! per-operation latency statistics.
 //!
 //! Workloads are seeded, so two runs against equivalent servers issue
-//! the same request streams (per worker) — that is what lets experiment
-//! E17 compare cold versus cache-warm service times meaningfully. Each
+//! the same request streams (per worker) — that is what makes cold
+//! versus cache-warm service times comparable across runs. Each
 //! worker owns one connection and loops a weighted mix of `solve`
 //! (drawn from a small pool of distinct samples, so repeats hit the
 //! result cache), `evaluate` on the hypotheses those solves return,

@@ -5,10 +5,10 @@
 //! as [`Json`]): an order-preserving value tree whose compact renderer
 //! never emits a raw newline, so one message always occupies exactly one
 //! line and the framing is trivial — write `render() + "\n"`, read with
-//! `read_line`. The same tree backs the bench suite's JSON report
-//! writers (`folearn_bench::write_json_file`) and the trace exporters,
-//! keeping `BENCH_*.json` files and trace JSONL format-consistent with
-//! the wire.
+//! `read_line`. The same tree backs the experiment report writer
+//! (`folearn_bench::write_json_file`, which E24 uses), the reader of
+//! the committed `BENCH_*.json` artifacts, and the trace exporters,
+//! keeping artifacts and trace JSONL format-consistent with the wire.
 //!
 //! Numbers are `f64`; 64-bit identifiers (structure hashes) do not fit
 //! `f64` losslessly and therefore travel as fixed-width hex strings.

@@ -11,7 +11,7 @@
 //!   that triple. The hypothesis itself is **derivable** — the learner
 //!   is deterministic — so replay re-runs the solve, re-derives the id,
 //!   and provably reconstructs bit-identical state, the same invariant
-//!   E19/E21 gate over the network.
+//!   the fault and cluster tests assert over the network.
 //!
 //! Both keys are content addresses and no operation deletes or updates
 //! what they name, so each is logged once: [`Durability::append`]

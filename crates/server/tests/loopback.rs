@@ -14,8 +14,8 @@ use folearn_cluster::{RouterConfig, RouterHandle};
 use folearn_logic::vm::EvalEngine;
 use folearn_server::proto::{hex64, hypothesis_id, Json, Request, Response};
 use folearn_server::{
-    start, Client, ClientApi, ClientError, LoadgenConfig, ServerConfig, ServerHandle, SolverSpec,
-    WireExample,
+    start, ChaosConfig, ChaosProxy, Client, ClientApi, ClientConfig, ClientError, Direction,
+    FaultKind, LoadgenConfig, RetryPolicy, ServerConfig, ServerHandle, SolverSpec, WireExample,
 };
 
 const GRAPH: &str = "colors Red Blue\nvertices 6\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\ncolor 0 Red\ncolor 2 Red\ncolor 4 Red\ncolor 1 Blue\ncolor 3 Blue\ncolor 5 Blue\n";
@@ -416,6 +416,46 @@ fn loadgen_smoke_hits_the_cache() {
         .map(|(_, s)| s)
         .expect("solve stats");
     assert!(solve.quantile_us(0.5) > 0);
+    handle.shutdown();
+}
+
+/// A loadgen mix through a proxy that garbles 10% of frames both ways
+/// finishes with zero unrecovered errors: every mangled call is retried
+/// on a fresh connection and answered by the deterministic engine.
+#[test]
+fn loadgen_through_a_garbling_proxy_recovers_every_fault() {
+    let handle = start(&ServerConfig::default()).expect("server starts");
+    let proxy = ChaosProxy::start(
+        handle.addr(),
+        ChaosConfig {
+            kind: FaultKind::Garble,
+            rate: 0.10,
+            delay: Duration::ZERO,
+            direction: Direction::Both,
+            seed: 0x10AD,
+        },
+    )
+    .expect("proxy starts");
+    let config = LoadgenConfig {
+        connections: 3,
+        requests_per_conn: 30,
+        seed: 19,
+        client: ClientConfig::with_deadline(Duration::from_millis(250)),
+        retry: RetryPolicy {
+            max_retries: 12,
+            base_delay: Duration::from_millis(2),
+            max_delay: Duration::from_millis(40),
+            seed: 7,
+        },
+        ..LoadgenConfig::default()
+    };
+    let report = folearn_server::loadgen::run_load(proxy.addr(), GRAPH, &config);
+    assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+    assert_eq!(report.errors, 0, "no unrecovered errors");
+    assert_eq!(report.requests, 3 * (30 + 1));
+    assert!(proxy.faults_injected() > 0, "the proxy never faulted");
+    assert!(report.retries > 0, "survived faults without retrying?");
+    proxy.shutdown();
     handle.shutdown();
 }
 
