@@ -1,25 +1,35 @@
 //! E3 — Proposition 11 (brute force is XP).
 //!
-//! Claim: Algorithm 1 runs in `O(n^{ℓ} · m · type-cost)`, i.e. its
-//! runtime is polynomial with degree growing in `ℓ`: the measured log-log
-//! slope of time against `n` increases by ≈1 per extra parameter.
+//! Claim: Algorithm 1 sweeps all `n^ℓ` parameter tuples, each fitted in
+//! `O(m · type-cost)`, so its runtime is polynomial with degree growing in
+//! `ℓ`. The gate is the sequential touched count (`SolveReport::work`),
+//! which must equal `n^ℓ` on every row of an unrealisable sample, with
+//! every one of those tuples either evaluated or pruned; neither count
+//! depends on thread count, pruning or the host. The log-log slopes of
+//! wall time against `n` (≈ +1 per extra parameter) are printed as
+//! observed, not gated.
 
-use folearn::bruteforce::brute_force_erm;
+use folearn::bruteforce::BruteForceOpts;
 use folearn::fit::TypeMode;
-use folearn::problem::{ErmInstance, TrainingSequence};
-use folearn::shared_arena;
+use folearn::problem::{ErmInstance, Example, TrainingSequence};
+use folearn::{shared_arena, solve_fo_erm, Solver};
 use folearn_bench::{banner, cells, loglog_slope, ms, timed, verdict, Table};
 use folearn_graph::V;
 
 fn main() {
     banner(
         "E3 (Proposition 11 / Algorithm 1)",
-        "brute-force ERM scales polynomially with degree ~ ℓ + cost(fit): \
-         log-log slopes separate ℓ = 0, 1, 2 by ≈1",
+        "brute-force ERM touches exactly n^ℓ parameter tuples on an \
+         unrealisable sample: XP in ℓ, one polynomial degree per parameter",
     );
 
-    let mut table = Table::new(&["ell", "n", "m", "params-touched", "err", "time-ms"]);
+    let solver = Solver::BruteForce {
+        mode: TypeMode::Local { r: 1 },
+        opts: BruteForceOpts::default(),
+    };
+    let mut table = Table::new(&["ell", "n", "m", "work", "err", "time-ms"]);
     let mut slopes = Vec::new();
+    let mut exhaustive = true;
     for ell in [0usize, 1, 2] {
         let mut pts = Vec::new();
         let ns: &[usize] = match ell {
@@ -29,30 +39,28 @@ fn main() {
         };
         for &n in ns {
             let g = folearn_bench::red_tree(n, 4, 11);
-            // An unrealisable target so no early exit distorts timing:
-            // pseudo-random labels force the full parameter sweep.
-            let examples =
+            // Pseudo-random labels plus vertex 0 repeated with its label
+            // flipped: no hypothesis fits both copies, so no perfect fit
+            // ends the sweep early.
+            let mut examples =
                 TrainingSequence::label_all_tuples(&g, 1, |t: &[V]| (t[0].0 * 2654435761) % 7 < 3);
+            let first = examples.examples()[0].clone();
+            examples.push(Example::new(first.tuple, !first.label));
+            let m = examples.len();
             let inst = ErmInstance::new(&g, examples, 1, ell, 1, 0.0);
             let arena = shared_arena(&g);
-            let (res, elapsed) = timed(|| {
-                brute_force_erm(&inst, TypeMode::Local { r: 1 }, &arena)
-            });
-            // Only full sweeps enter the slope estimate: a lucky early
-            // perfect fit at small n would skew the degree measurement.
-            // Pruned tuples count as touched — the engine still tallies a
-            // prefix of the examples for them.
-            let touched = res.evaluated_params + res.pruned_params;
-            let full_sweep = touched == g.num_vertices().pow(ell as u32);
-            if full_sweep {
-                pts.push((n as f64, elapsed.as_secs_f64()));
-            }
+            let (report, elapsed) = timed(|| solve_fo_erm(&inst, &solver, &arena));
+            // Without a perfect fit every tuple is evaluated or pruned,
+            // however the threads split them.
+            exhaustive &= report.work == g.num_vertices().pow(ell as u32)
+                && report.evaluated_params + report.pruned_params == report.work;
+            pts.push((n as f64, elapsed.as_secs_f64()));
             table.row(cells!(
                 ell,
                 n,
-                n,
-                touched,
-                format!("{:.3}", res.error),
+                m,
+                report.work,
+                format!("{:.3}", report.error),
                 ms(elapsed)
             ));
         }
@@ -61,13 +69,13 @@ fn main() {
     table.print();
     println!();
     println!(
-        "log-log slopes: ell=0: {:.2}, ell=1: {:.2}, ell=2: {:.2}",
+        "log-log slopes of time (observed, not gated): ell=0: {:.2}, ell=1: {:.2}, ell=2: {:.2}",
         slopes[0], slopes[1], slopes[2]
     );
-    let ok = slopes[1] > slopes[0] + 0.5 && slopes[2] > slopes[1] + 0.5;
     verdict(
-        ok,
-        "each extra parameter raises the polynomial degree by ≈1 \
-         (XP in ℓ, as Proposition 11 predicts)",
+        exhaustive,
+        "every row touches all n^ℓ parameter tuples and evaluates or \
+         prunes each one: the sweep is exhaustive and its size is XP in ℓ, \
+         as Proposition 11 predicts",
     );
 }

@@ -2,9 +2,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::vocab::{ColorId, Vocabulary};
+use crate::wl;
 
 /// A vertex handle. Vertices of an `n`-vertex graph are `V(0) … V(n-1)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -41,13 +42,71 @@ pub struct Graph {
     /// Per-vertex colour bitsets, `words_per_vertex` words each.
     colors: Vec<u64>,
     words_per_vertex: usize,
-    /// Colour class of each vertex (vertices with equal colour sets share
-    /// a class; classes are numbered in order of their first vertex).
+    /// Vertices grouped by colour set.
+    color_classes: VertexClasses,
+    /// Vertices grouped by one round of colour refinement, built on first
+    /// use (boxed: a graph that never asks for it carries one pointer).
+    refinement_classes: OnceLock<Box<VertexClasses>>,
+}
+
+/// A partition of the vertices into classes numbered `0 … len()` in order
+/// of their first vertex, with each class's members in vertex order.
+#[derive(Clone, Debug)]
+pub struct VertexClasses {
     class_of: Vec<u32>,
-    /// CSR row offsets of the class member lists, length `#classes + 1`.
-    class_offsets: Vec<u32>,
-    /// Class members, sorted within each class, length `n`.
-    class_members: Vec<u32>,
+    /// CSR row offsets of the member lists, length `len() + 1`.
+    offsets: Vec<u32>,
+    /// Members, sorted within each class, length `n`.
+    members: Vec<u32>,
+}
+
+impl VertexClasses {
+    /// Group vertex `v` into class `class_of[v]`; the labels must number
+    /// classes densely in order of their first vertex.
+    fn new(class_of: Vec<u32>) -> Self {
+        let len = class_of.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut offsets = vec![0u32; len + 1];
+        for &c in &class_of {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..len {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut members: Vec<u32> = (0..class_of.len() as u32).collect();
+        // A stable sort keeps each class's members in vertex order.
+        members.sort_by_key(|&v| class_of[v as usize]);
+        Self {
+            class_of,
+            offsets,
+            members,
+        }
+    }
+
+    /// The class of `v`.
+    #[inline]
+    pub fn class(&self, v: V) -> usize {
+        self.class_of[v.index()] as usize
+    }
+
+    /// Number of classes (0 for the empty graph).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no classes (the graph is empty).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The members of class `c`, in increasing vertex order.
+    #[inline]
+    pub fn members(&self, c: usize) -> &[u32] {
+        let lo = self.offsets[c] as usize;
+        let hi = self.offsets[c + 1] as usize;
+        &self.members[lo..hi]
+    }
 }
 
 impl Graph {
@@ -58,38 +117,27 @@ impl Graph {
         colors: Vec<u64>,
         words_per_vertex: usize,
     ) -> Self {
-        let n = offsets.len() - 1;
-        debug_assert_eq!(colors.len(), n * words_per_vertex);
-        let mut class_ids: HashMap<&[u64], u32> = HashMap::new();
-        let mut sizes: Vec<u32> = Vec::new();
-        let class_of: Vec<u32> = colors
-            .chunks_exact(words_per_vertex)
-            .map(|set| {
-                let c = *class_ids.entry(set).or_insert_with(|| {
-                    sizes.push(0);
-                    sizes.len() as u32 - 1
-                });
-                sizes[c as usize] += 1;
-                c
-            })
-            .collect();
-        let mut class_offsets = Vec::with_capacity(sizes.len() + 1);
-        class_offsets.push(0u32);
-        for &size in &sizes {
-            class_offsets.push(class_offsets.last().unwrap() + size);
-        }
-        let mut class_members: Vec<u32> = (0..n as u32).collect();
-        // A stable sort keeps each class's members in vertex order.
-        class_members.sort_by_key(|&v| class_of[v as usize]);
+        debug_assert_eq!(colors.len(), (offsets.len() - 1) * words_per_vertex);
+        let color_classes = {
+            let mut ids: HashMap<&[u64], u32> = HashMap::new();
+            VertexClasses::new(
+                colors
+                    .chunks_exact(words_per_vertex)
+                    .map(|set| {
+                        let fresh = ids.len() as u32;
+                        *ids.entry(set).or_insert(fresh)
+                    })
+                    .collect(),
+            )
+        };
         Self {
             vocab,
             offsets,
             targets,
             colors,
             words_per_vertex,
-            class_of,
-            class_offsets,
-            class_members,
+            color_classes,
+            refinement_classes: OnceLock::new(),
         }
     }
 
@@ -161,27 +209,20 @@ impl Graph {
         self.words_per_vertex
     }
 
-    /// The colour class of `v`: two vertices share a class iff they carry
-    /// the same colour set. Classes are numbered `0 … num_color_classes()`
-    /// in order of their first vertex.
+    /// The colour classes: two vertices share a class iff they carry the
+    /// same colour set.
     #[inline]
-    pub fn color_class(&self, v: V) -> usize {
-        self.class_of[v.index()] as usize
+    pub fn color_classes(&self) -> &VertexClasses {
+        &self.color_classes
     }
 
-    /// Number of distinct colour sets among the vertices (0 for the empty
-    /// graph).
-    #[inline]
-    pub fn num_color_classes(&self) -> usize {
-        self.class_offsets.len() - 1
-    }
-
-    /// The members of colour class `c`, in increasing vertex order.
-    #[inline]
-    pub fn color_class_members(&self, c: usize) -> &[u32] {
-        let lo = self.class_offsets[c] as usize;
-        let hi = self.class_offsets[c + 1] as usize;
-        &self.class_members[lo..hi]
+    /// The classes after one round of colour refinement: two vertices
+    /// share a class iff they carry the same colour set and their
+    /// neighbours carry the same multiset of colour sets. Built from
+    /// [`wl::color_refinement`] on first use and kept with the graph.
+    pub fn refinement_classes(&self) -> &VertexClasses {
+        self.refinement_classes
+            .get_or_init(|| Box::new(VertexClasses::new(wl::color_refinement(self, 1).colors)))
     }
 
     /// All vertices carrying colour `c`.
@@ -269,14 +310,36 @@ mod tests {
         b.set_color(V(2), ColorId(3));
         b.set_color(V(3), ColorId(69));
         let g = b.build();
-        assert_eq!(g.num_color_classes(), 3);
-        let classes: Vec<usize> = g.vertices().map(|v| g.color_class(v)).collect();
-        assert_eq!(classes, vec![0, 1, 2, 1, 0]);
-        assert_eq!(g.color_class_members(0), &[0, 4]);
-        assert_eq!(g.color_class_members(1), &[1, 3]);
-        assert_eq!(g.color_class_members(2), &[2]);
+        let classes = g.color_classes();
+        assert_eq!(classes.len(), 3);
+        let of: Vec<usize> = g.vertices().map(|v| classes.class(v)).collect();
+        assert_eq!(of, vec![0, 1, 2, 1, 0]);
+        assert_eq!(classes.members(0), &[0, 4]);
+        assert_eq!(classes.members(1), &[1, 3]);
+        assert_eq!(classes.members(2), &[2]);
         let empty = GraphBuilder::new(Vocabulary::empty()).build();
-        assert_eq!(empty.num_color_classes(), 0);
+        assert!(empty.color_classes().is_empty());
+        assert!(empty.refinement_classes().is_empty());
+    }
+
+    #[test]
+    fn refinement_classes_split_colour_classes_by_neighbour_colours() {
+        // Path 0-1-2-3-4-5 with 0 and 3 red: the plain vertices split into
+        // {1, 2, 4} (one red and one plain neighbour) and {5} (one plain);
+        // the red ones into {0} (one plain) and {3} (two plain).
+        let mut b = GraphBuilder::with_vertices(Vocabulary::new(["Red"]), 6);
+        for i in 0..5 {
+            b.add_edge(V(i), V(i + 1));
+        }
+        b.set_color(V(0), ColorId(0));
+        b.set_color(V(3), ColorId(0));
+        let g = b.build();
+        let classes = g.refinement_classes();
+        assert_eq!(classes.len(), 4);
+        let of: Vec<usize> = g.vertices().map(|v| classes.class(v)).collect();
+        assert_eq!(of, vec![0, 1, 1, 2, 1, 3]);
+        assert_eq!(classes.members(1), &[1, 2, 4]);
+        assert!(std::ptr::eq(classes, g.refinement_classes()));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 pub mod bfs;
 pub mod builder;
 pub mod generators;
-pub mod io;
 pub mod graph;
+pub mod io;
 pub mod ops;
 pub mod splitter;
 pub mod vocab;
@@ -38,5 +38,5 @@ pub mod wcol;
 pub mod wl;
 
 pub use builder::GraphBuilder;
-pub use graph::{Graph, V};
+pub use graph::{Graph, VertexClasses, V};
 pub use vocab::{ColorId, Vocabulary};

@@ -52,18 +52,15 @@ impl WlColoring {
 /// by `(old colour, sorted multiset of neighbour colours)`.
 pub fn color_refinement(g: &Graph, max_rounds: usize) -> WlColoring {
     let n = g.num_vertices();
-    let mut colors: Vec<u32> = g.vertices().map(|v| g.color_class(v) as u32).collect();
-    let mut num_colors = g.num_color_classes().max(1);
+    let classes = g.color_classes();
+    let mut colors: Vec<u32> = g.vertices().map(|v| classes.class(v) as u32).collect();
+    let mut num_colors = classes.len().max(1);
     let mut rounds = 0usize;
     for _ in 0..max_rounds {
         let mut next_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
         let mut next: Vec<u32> = Vec::with_capacity(n);
         for v in g.vertices() {
-            let mut neigh: Vec<u32> = g
-                .neighbors(v)
-                .iter()
-                .map(|&w| colors[w as usize])
-                .collect();
+            let mut neigh: Vec<u32> = g.neighbors(v).iter().map(|&w| colors[w as usize]).collect();
             neigh.sort_unstable();
             let key = (colors[v.index()], neigh);
             let fresh = next_ids.len() as u32;

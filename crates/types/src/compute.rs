@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use folearn_graph::{Graph, V};
+use folearn_graph::{Graph, VertexClasses, V};
 
 use crate::arena::{TypeArena, TypeId, TypeNode};
 use crate::atomic::AtomicType;
@@ -20,14 +20,18 @@ use crate::atomic::AtomicType;
 /// tuples get equal type ids iff they satisfy the same `FO[τ,q]` formulas;
 /// cap `t` decides all counting quantifiers `∃^{≥i}` with `i ≤ t` as well.
 ///
-/// The cost of `type_of(v̄, q)` for `q ≥ 1` is `O(n^{q−1}·(kΔ + c))`
-/// interned atomic types, for tuples of arity `k`, maximum degree `Δ` and
-/// `c` colour classes: a vertex `u` outside `N[v̄]` gives `v̄u` an atomic
-/// type fixed by `u`'s colour set alone, so the last quantifier level
-/// interns one child per near vertex and one per colour class of the far
-/// ones. The remaining `n^{q−1}` is the finite-but-XP blow-up the paper's
-/// Section 2 normal form hides; all learner entry points confine it to
-/// bounded neighbourhoods or bounded `q`.
+/// The cost of `type_of(v̄, q)` is `O(kΔ + c)` interned atomic types at
+/// `q = 1` and `O(n^{q−2}·(kΔ² + r)·(kΔ + c))` for `q ≥ 2`, for tuples of
+/// arity `k`, maximum degree `Δ`, `c` colour classes and `r` classes of
+/// one round of colour refinement. A vertex `u` outside `N[v̄]` gives
+/// `v̄u` an atomic type fixed by `u`'s colour set alone, so the last
+/// quantifier level interns one child per near vertex and one per colour
+/// class of the far ones; a vertex `w` outside `N_2[v̄]` gives `v̄w` a
+/// 1-type fixed by `w`'s refinement class, so the level above it computes
+/// one child per vertex of `N_2[v̄]` and one per refinement class of the
+/// far ones. The remaining `n^{q−2}` is the finite-but-XP blow-up the
+/// paper's Section 2 normal form hides; all learner entry points confine
+/// it to bounded neighbourhoods or bounded `q`.
 pub struct TypeComputer<'g, 'a> {
     graph: &'g Graph,
     arena: &'a mut TypeArena,
@@ -87,6 +91,7 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
         let witnesses = match rank {
             0 => Vec::new(),
             1 => self.rank_one_witnesses(tuple),
+            2 => self.rank_two_witnesses(tuple),
             _ => self.graph.vertices().map(|u| (u, 1)).collect(),
         };
         let mut kids: Vec<(TypeId, u32)> = Vec::with_capacity(witnesses.len());
@@ -140,31 +145,62 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
     /// the per-vertex recursion exactly.
     fn rank_one_witnesses(&self, tuple: &[V]) -> Vec<(V, u32)> {
         let g = self.graph;
-        let mut near: Vec<u32> = tuple.iter().map(|v| v.0).collect();
-        for &v in tuple {
-            near.extend_from_slice(g.neighbors(v));
-        }
-        near.sort_unstable();
-        near.dedup();
-        let mut near_in_class = vec![0u32; g.num_color_classes()];
-        for &u in &near {
-            near_in_class[g.color_class(V(u))] += 1;
-        }
-        let mut witnesses: Vec<(V, u32)> = near.iter().map(|&u| (V(u), 1)).collect();
-        for (c, &near_count) in near_in_class.iter().enumerate() {
-            let members = g.color_class_members(c);
-            let far = members.len() as u32 - near_count;
-            if far > 0 {
-                let first = members
-                    .iter()
-                    .find(|u| near.binary_search(u).is_err())
-                    .expect("a class with far members has a first one");
-                witnesses.push((V(*first), far));
-            }
-        }
-        witnesses.sort_unstable();
-        witnesses
+        let near = closed_neighbourhood(g, tuple.iter().map(|v| v.0));
+        near_and_first_far(&near, g.color_classes())
     }
+
+    /// The one-point extensions `v̄w` that stand for all of them at rank 2,
+    /// each with how many vertices it stands for, in vertex order.
+    ///
+    /// Every vertex of `N_2[v̄]` stands for itself. A vertex `w` at
+    /// distance at least 3 from `v̄` has `N[w] ∩ N[v̄] = ∅`, so `tp_1(v̄w)`
+    /// is fixed by `v̄` and by `w`'s class after one round of colour
+    /// refinement (its colour set and its neighbours' multiset of colour
+    /// sets): the first far vertex of each refinement class stands for the
+    /// whole far part of its class. A skipped `w` would intern only nodes
+    /// that this first vertex interned before it, so arena ids match the
+    /// per-vertex recursion exactly, as at rank 1.
+    fn rank_two_witnesses(&self, tuple: &[V]) -> Vec<(V, u32)> {
+        let g = self.graph;
+        let near = closed_neighbourhood(g, tuple.iter().map(|v| v.0));
+        let near2 = closed_neighbourhood(g, near.iter().copied());
+        near_and_first_far(&near2, g.refinement_classes())
+    }
+}
+
+/// `S ∪ N(S)` for the vertex set `S`, sorted and without repeats.
+fn closed_neighbourhood(g: &Graph, set: impl Iterator<Item = u32> + Clone) -> Vec<u32> {
+    let mut out: Vec<u32> = set.clone().collect();
+    for v in set {
+        out.extend_from_slice(g.neighbors(V(v)));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Each vertex of the sorted set `near` counted once, plus the first
+/// member outside `near` of each class counted for all of its class's
+/// members outside `near`; in vertex order.
+fn near_and_first_far(near: &[u32], classes: &VertexClasses) -> Vec<(V, u32)> {
+    let mut near_in_class = vec![0u32; classes.len()];
+    for &u in near {
+        near_in_class[classes.class(V(u))] += 1;
+    }
+    let mut witnesses: Vec<(V, u32)> = near.iter().map(|&u| (V(u), 1)).collect();
+    for (c, &near_count) in near_in_class.iter().enumerate() {
+        let members = classes.members(c);
+        let far = members.len() as u32 - near_count;
+        if far > 0 {
+            let first = members
+                .iter()
+                .find(|u| near.binary_search(u).is_err())
+                .expect("a class with far members has a first one");
+            witnesses.push((V(*first), far));
+        }
+    }
+    witnesses.sort_unstable();
+    witnesses
 }
 
 /// Convenience: compute a single classical (cap 1) type with a throwaway
@@ -242,6 +278,23 @@ mod tests {
         assert_ne!(c.type_of(&[V(2)], 2), c.type_of(&[V(3)], 2));
         assert_eq!(c.type_of(&[V(3)], 2), c.type_of(&[V(4)], 2));
         assert_eq!(c.type_of(&[V(3)], 2), c.type_of(&[V(5)], 2));
+    }
+
+    #[test]
+    fn rank_two_witnesses_do_not_grow_with_the_path() {
+        // On an uncoloured path the midpoint's N_2 holds 5 vertices and one
+        // refinement round leaves r = 2 classes (endpoints, inner
+        // vertices), each with far members: 5 + 2 witnesses whatever n is.
+        for n in [40usize, 400] {
+            let g = generators::path(n, Vocabulary::empty());
+            assert_eq!(g.refinement_classes().len(), 2);
+            let mut arena = TypeArena::new(Arc::clone(g.vocab()));
+            let c = TypeComputer::new(&g, &mut arena);
+            let witnesses = c.rank_two_witnesses(&[V(n as u32 / 2)]);
+            assert_eq!(witnesses.len(), 5 + 2, "n = {n}");
+            let counted: u32 = witnesses.iter().map(|&(_, count)| count).sum();
+            assert_eq!(counted as usize, n);
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The reference below is the Section 2 recursion written out with no
 //! shortcuts: one child per vertex at every level, no memo, its own arena.
 //! [`TypeComputer`] collapses the far vertices of each colour class into
-//! one child at rank 1; this test checks that it returns the same `TypeId`
-//! for every query *and* leaves a node-for-node identical arena, so the ids
-//! it hands out (which travel on the wire inside hypotheses) are exactly
-//! the reference's.
+//! one child at rank 1, and the vertices at distance at least 3 of each
+//! one-round refinement class into one child at rank 2; this test checks
+//! that it returns the same `TypeId` for every query *and* leaves a
+//! node-for-node identical arena, so the ids it hands out (which travel on
+//! the wire inside hypotheses) are exactly the reference's.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use folearn_graph::{bfs, ops, ColorId, Graph, GraphBuilder, Vocabulary, V};
+use folearn_graph::{bfs, generators, ops, ColorId, Graph, GraphBuilder, Vocabulary, V};
 use folearn_types::arena::{TypeArena, TypeId, TypeNode};
 use folearn_types::atomic::AtomicType;
 use folearn_types::compute::TypeComputer;
@@ -222,4 +223,102 @@ fn local_types_match_the_recursion_on_their_balls() {
         }
         assert_same_arena(&kernel, &naive);
     }
+}
+
+/// Sparse coloured graphs of 12–20 vertices with at least two colour
+/// classes: paths, caterpillars and random graphs of maximum degree 3. Most
+/// vertices lie at distance at least 3 from a short tuple there, so rank 2
+/// collapses far witnesses.
+fn sparse_graphs(rng: &mut StdRng, vocab: &Vocabulary) -> Vec<Graph> {
+    let mut graphs = Vec::new();
+    for round in 0..3u64 {
+        let shapes = [
+            generators::path(rng.random_range(12..=20), vocab.clone()),
+            generators::caterpillar(rng.random_range(6..=10), 1, vocab.clone()),
+            generators::caterpillar(rng.random_range(4..=6), 2, vocab.clone()),
+            generators::bounded_degree_random(
+                rng.random_range(12..=20),
+                3,
+                0.9,
+                vocab.clone(),
+                round,
+            ),
+        ];
+        for shape in shapes {
+            let red = generators::periodically_colored(&shape, ColorId(0), rng.random_range(2..=3));
+            let g = generators::periodically_colored(&red, ColorId(1), 5);
+            assert!(g.color_classes().len() >= 2, "{g:?} has one colour class");
+            graphs.push(g);
+        }
+    }
+    graphs
+}
+
+/// How many rank-2 witnesses of `tuple` stand for more than themselves:
+/// the vertices outside `N_2[tuple]` minus the refinement classes they
+/// fall in.
+fn collapsed_at_rank_two(g: &Graph, tuple: &[V]) -> usize {
+    let near = bfs::ball(g, tuple, 2);
+    let mut far_classes: Vec<usize> = g
+        .vertices()
+        .filter(|v| near.binary_search(v).is_err())
+        .map(|v| g.refinement_classes().class(v))
+        .collect();
+    let far = far_classes.len();
+    far_classes.sort_unstable();
+    far_classes.dedup();
+    far - far_classes.len()
+}
+
+#[test]
+fn kernel_matches_where_rank_two_collapses() {
+    // Rank 2 at arities 0–3 and rank 3 at arity 1 (every rank-2 child of
+    // a rank-3 query collapses too), caps 1–3, one session per (graph,
+    // cap) over two shared arenas.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0004);
+    let vocab = Vocabulary::new(["Red", "Blue"]);
+    let mut kernel = TypeArena::new(Arc::new(vocab.clone()));
+    let mut naive = TypeArena::new(Arc::new(vocab.clone()));
+    for g in sparse_graphs(&mut rng, &vocab) {
+        let mut collapsed = 0;
+        for cap in 1..=3u32 {
+            let mut session = TypeComputer::with_cap(&g, &mut kernel, cap);
+            for (q, arity) in [(2, 0), (2, 1), (2, 1), (2, 2), (2, 3), (3, 1)] {
+                let tuple = random_tuple(&mut rng, &g, arity);
+                collapsed += collapsed_at_rank_two(&g, &tuple);
+                let got = session.type_of(&tuple, q);
+                let want = reference(&g, &mut naive, &tuple, q, cap);
+                assert_eq!(got, want, "{g:?}, tuple {tuple:?}, q {q}, cap {cap}");
+            }
+        }
+        assert!(collapsed > 0, "{g:?}: no rank-2 query collapsed a witness");
+    }
+    assert_same_arena(&kernel, &naive);
+}
+
+#[test]
+fn local_rank_two_types_match_the_recursion_on_wide_balls() {
+    // Balls of radius 3–4 around one or two entries still have vertices
+    // at distance 3 from the tuple, so the local rank-2 kernel collapses
+    // witnesses with the refinement classes of the ball, not of the graph.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0005);
+    let vocab = Vocabulary::new(["Red", "Blue"]);
+    let mut kernel = TypeArena::new(Arc::new(vocab.clone()));
+    let mut naive = TypeArena::new(Arc::new(vocab.clone()));
+    let mut collapsed = 0;
+    for g in sparse_graphs(&mut rng, &vocab) {
+        for cap in 1..=3u32 {
+            let r = rng.random_range(3..=4usize);
+            let arity = rng.random_range(1..=2usize);
+            let tuple = random_tuple(&mut rng, &g, arity);
+            let got = counting_local_type(&g, &mut kernel, &tuple, 2, r, cap);
+            let ball = ops::induced_subgraph(&g, &bfs::ball(&g, &tuple, r));
+            let mapped = ball.map_tuple(&tuple).unwrap();
+            collapsed += collapsed_at_rank_two(&ball.graph, &mapped);
+            let want = reference(&ball.graph, &mut naive, &mapped, 2, cap);
+            assert_eq!(got, want, "{g:?}, tuple {tuple:?}, r {r}, cap {cap}");
+        }
+    }
+    assert!(collapsed > 0, "no local rank-2 query collapsed a witness");
+    assert_same_arena(&kernel, &naive);
 }
