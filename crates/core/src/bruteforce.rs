@@ -37,9 +37,12 @@
 //! tuples a worker tallies before observing a bound published by another
 //! worker is timing-dependent. With one thread (or pruning off) they are
 //! deterministic too. [`BruteForceResult::touched_params`] is the
-//! schedule-free work figure: the tuples the sequential scan touches.
+//! schedule-free work figure: each worker records the indices it
+//! tallied, and the figure counts those up to the winner on a perfect fit
+//! (all of them otherwise) — the tuples the sequential scan touches, so a
+//! sweep that skipped one shows it.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,9 +51,7 @@ use folearn_obs::{Counter, Json, LocalStats};
 use folearn_types::TypeArena;
 use parking_lot::Mutex;
 
-use crate::fit::{
-    error_rate, fit_with_params_counted, misclassifications_bounded, TypeMode,
-};
+use crate::fit::{error_rate, fit_with_params_counted, misclassifications_bounded, TypeMode};
 use crate::hypothesis::Hypothesis;
 use crate::problem::ErmInstance;
 
@@ -98,9 +99,10 @@ pub struct BruteForceResult {
     /// count exceeded the shared bound partway through the examples.
     /// `evaluated_params + pruned_params` is the number of tuples touched.
     pub pruned_params: usize,
-    /// Tuples the sequential scan touches: the lowest perfectly fitting
-    /// index + 1, else `n^ℓ`. A function of the instance alone, unlike
-    /// the two counters above.
+    /// Tuples the sequential scan touches, counted over the workers'
+    /// tallied ranges: the indices up to the lowest perfectly fitting one,
+    /// else all `n^ℓ`. A function of the instance alone, unlike the two
+    /// counters above.
     pub touched_params: usize,
 }
 
@@ -142,6 +144,8 @@ struct Worker {
     best: Option<(usize, usize)>,
     evaluated: usize,
     pruned: usize,
+    /// The indices whose tuples this worker tallied, as ascending runs.
+    tallied: Vec<Range<usize>>,
     /// Folded per-block span measurements (empty when capture is off).
     stats: LocalStats,
 }
@@ -205,6 +209,7 @@ fn sweep(
             best: None,
             evaluated: 0,
             pruned: 0,
+            tallied: Vec::new(),
             stats: LocalStats::new(),
         },
         |w, range| {
@@ -228,7 +233,7 @@ fn sweep(
                 } else {
                     usize::MAX
                 };
-                match misclassifications_bounded(
+                let tally = misclassifications_bounded(
                     g,
                     examples,
                     &w.params,
@@ -236,7 +241,12 @@ fn sweep(
                     mode,
                     &mut w.arena,
                     bound,
-                ) {
+                );
+                match w.tallied.last_mut() {
+                    Some(run) if run.end == idx => run.end += 1,
+                    _ => w.tallied.push(idx..idx + 1),
+                }
+                match tally {
                     Some(wrong) => {
                         w.evaluated += 1;
                         if w.best.is_none_or(|b| (wrong, idx) < b) {
@@ -263,9 +273,11 @@ fn sweep(
     let mut evaluated = 0usize;
     let mut pruned = 0usize;
     let mut best: Option<(usize, usize)> = None;
+    let mut tallied: Vec<Range<usize>> = Vec::new();
     for (wid, w) in states.into_iter().enumerate() {
         evaluated += w.evaluated;
         pruned += w.pruned;
+        tallied.extend(w.tallied);
         if let Some(b) = w.best {
             if best.is_none_or(|cur| b < cur) {
                 best = Some(b);
@@ -282,10 +294,16 @@ fn sweep(
     folearn_obs::meta("workers", Json::int(workers));
     drop(sweep_span);
     let (wrong, idx) = best.expect("the optimal tuple is never pruned");
+    // The winner is the minimal `(count, index)`, so a perfect fit's index
+    // is the lowest perfect one: the sequential scan stops there.
+    let scanned = if wrong == 0 { idx + 1 } else { total };
+    let touched = tallied
+        .iter()
+        .map(|r| r.end.min(scanned).saturating_sub(r.start))
+        .sum();
     let mut params = vec![V(0); ell];
     decode_param_tuple(idx, n, &mut params);
-    let (hypothesis, wrong2) =
-        fit_with_params_counted(g, examples, &params, q, mode, arena);
+    let (hypothesis, wrong2) = fit_with_params_counted(g, examples, &params, q, mode, arena);
     debug_assert_eq!(
         wrong, wrong2,
         "sweep and final fit disagree on the misclassification count"
@@ -295,9 +313,7 @@ fn sweep(
         error: error_rate(wrong, examples.len()),
         evaluated_params: evaluated,
         pruned_params: pruned,
-        // The winner is the minimal `(count, index)`, so a perfect fit's
-        // index is the lowest perfect one.
-        touched_params: if wrong == 0 { idx + 1 } else { total },
+        touched_params: touched,
     }
 }
 
@@ -494,14 +510,8 @@ mod tests {
     fn pair_query_with_color() {
         // k = 2: learn "x0 and x1 are both red" exactly.
         let vocab = Vocabulary::new(["Red"]);
-        let g = generators::periodically_colored(
-            &generators::path(5, vocab),
-            ColorId(0),
-            2,
-        );
-        let target = |t: &[V]| {
-            g.has_color(t[0], ColorId(0)) && g.has_color(t[1], ColorId(0))
-        };
+        let g = generators::periodically_colored(&generators::path(5, vocab), ColorId(0), 2);
+        let target = |t: &[V]| g.has_color(t[0], ColorId(0)) && g.has_color(t[1], ColorId(0));
         let examples = TrainingSequence::label_all_tuples(&g, 2, target);
         let inst = ErmInstance::new(&g, examples, 2, 0, 0, 0.0);
         let arena = arena_for(&g);
@@ -545,8 +555,7 @@ mod tests {
                         prune,
                         block_size: Some(block),
                     };
-                    let res =
-                        brute_force_erm_with(&inst, TypeMode::Global, &arena, &opts);
+                    let res = brute_force_erm_with(&inst, TypeMode::Global, &arena, &opts);
                     assert_eq!(
                         res.error.to_bits(),
                         reference.error.to_bits(),
@@ -562,6 +571,46 @@ mod tests {
                             res.hypothesis.predict(&g, &[v]),
                             reference.hypothesis.predict(&g, &[v]),
                             "threads={threads} prune={prune} block={block} at {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The counted touched figure equals the sequential reference's
+    /// evaluated count under every thread count and block size, with
+    /// pruning on and off, on a realisable and an unrealisable sample.
+    #[test]
+    fn touched_params_counts_the_sequential_scan() {
+        let g = generators::random_tree(13, Vocabulary::empty(), 7);
+        let w = V(9);
+        let realisable =
+            TrainingSequence::label_all_tuples(&g, 1, |t| t[0] == w || g.has_edge(t[0], w));
+        let mut unrealisable = realisable.clone();
+        unrealisable.push(crate::problem::Example::new(vec![w], false));
+        for (name, examples) in [("realisable", realisable), ("unrealisable", unrealisable)] {
+            let inst = ErmInstance::new(&g, examples, 1, 2, 1, 0.0);
+            let reference = brute_force_erm_sequential(&inst, TypeMode::Global, &arena_for(&g));
+            let total = g.num_vertices().pow(2);
+            if name == "realisable" {
+                assert!(reference.error == 0.0 && reference.evaluated_params < total);
+            } else {
+                assert!(reference.error > 0.0 && reference.evaluated_params == total);
+            }
+            for threads in 1..=4 {
+                for block in [1, 3, 64] {
+                    for prune in [false, true] {
+                        let opts = BruteForceOpts {
+                            threads: Some(threads),
+                            prune,
+                            block_size: Some(block),
+                        };
+                        let res =
+                            brute_force_erm_with(&inst, TypeMode::Global, &arena_for(&g), &opts);
+                        assert_eq!(
+                            res.touched_params, reference.evaluated_params,
+                            "{name} threads={threads} block={block} prune={prune}"
                         );
                     }
                 }
@@ -629,8 +678,7 @@ mod tests {
         // on V(0) so no tuple fits perfectly (the sweep cannot
         // short-circuit): w = 6 errs once, every other choice errs twice.
         let g = generators::path(12, Vocabulary::empty());
-        let mut pairs: Vec<(Vec<V>, bool)> =
-            g.vertices().map(|v| (vec![v], v == V(6))).collect();
+        let mut pairs: Vec<(Vec<V>, bool)> = g.vertices().map(|v| (vec![v], v == V(6))).collect();
         pairs.push((vec![V(0)], true));
         let examples = TrainingSequence::from_pairs(pairs);
         let inst = ErmInstance::new(&g, examples, 1, 1, 1, 0.0);
@@ -645,7 +693,10 @@ mod tests {
         };
         let full = one(false);
         let pruned = one(true);
-        assert!(full.error > 0.0, "the conflicting labels forbid a perfect fit");
+        assert!(
+            full.error > 0.0,
+            "the conflicting labels forbid a perfect fit"
+        );
         assert_eq!(full.error, pruned.error);
         assert_eq!(full.hypothesis.params(), pruned.hypothesis.params());
         assert_eq!(full.pruned_params, 0);

@@ -33,6 +33,8 @@ pub struct StringLearnResult {
     pub best_name: String,
     /// Its training error.
     pub error: f64,
+    /// Table lookups the ERM phase made: one per (candidate, example).
+    pub lookups: usize,
 }
 
 impl<'q, 'w> StringLearner<'q, 'w> {
@@ -52,10 +54,14 @@ impl<'q, 'w> StringLearner<'q, 'w> {
             assert!(e.pos < self.word.len(), "example position out of range");
         }
         let mut best = (0usize, usize::MAX);
+        let mut lookups = 0usize;
         for (idx, (_, pre)) in self.tables.iter().enumerate() {
             let wrong = examples
                 .iter()
-                .filter(|e| pre.classify(e.pos) != e.label)
+                .filter(|e| {
+                    lookups += 1;
+                    pre.classify(e.pos) != e.label
+                })
                 .count();
             if wrong < best.1 {
                 best = (idx, wrong);
@@ -70,7 +76,14 @@ impl<'q, 'w> StringLearner<'q, 'w> {
             } else {
                 wrong as f64 / examples.len() as f64
             },
+            lookups,
         }
+    }
+
+    /// Automaton steps phase 1 took, one entry per candidate in class
+    /// order (see [`Preprocessed::steps`]).
+    pub fn preprocess_steps(&self) -> Vec<usize> {
+        self.tables.iter().map(|(_, pre)| pre.steps()).collect()
     }
 
     /// Classify with the chosen hypothesis (constant time).
@@ -129,6 +142,7 @@ mod tests {
         let learner = StringLearner::preprocess(&w, &class);
         let result = learner.erm(&examples);
         assert_eq!(result.error, 0.0);
+        assert_eq!(result.lookups, class.len() * examples.len());
         // Consistency holds on the training positions by definition.
         for e in &examples {
             assert_eq!(learner.classify(result.best_index, e.pos), e.label);
@@ -167,6 +181,9 @@ mod tests {
         let w = Word::from_ascii("ab", 2);
         let class = standard_class(2);
         let learner = StringLearner::preprocess(&w, &class);
-        learner.erm(&[PosExample { pos: 7, label: true }]);
+        learner.erm(&[PosExample {
+            pos: 7,
+            label: true,
+        }]);
     }
 }

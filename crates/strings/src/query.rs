@@ -72,13 +72,24 @@ impl PositionQuery {
     /// # Panics
     /// Panics if the word's alphabet mismatches or `pos` is out of range.
     pub fn classify_naive(&self, w: &Word, pos: usize) -> bool {
+        self.classify_naive_counted(w, pos).0
+    }
+
+    /// [`PositionQuery::classify_naive`], with the number of automaton
+    /// steps the run took (`n`, one per letter).
+    ///
+    /// # Panics
+    /// Panics if the word's alphabet mismatches or `pos` is out of range.
+    pub fn classify_naive_counted(&self, w: &Word, pos: usize) -> (bool, usize) {
         assert_eq!(w.sigma(), self.sigma);
         assert!(pos < w.len());
         let mut state = self.automaton.start();
+        let mut steps = 0usize;
         for (i, &l) in w.letters().iter().enumerate() {
             state = self.automaton.step(state, marked_letter(l, i == pos));
+            steps += 1;
         }
-        self.automaton.accepts_state(state)
+        (self.automaton.accepts_state(state), steps)
     }
 
     /// Run the preprocessing phase on a word.
@@ -89,9 +100,11 @@ impl PositionQuery {
         // forward[i]: state after unmarked prefix w[0..i).
         let mut forward = Vec::with_capacity(n + 1);
         let mut s = self.automaton.start();
+        let mut steps = 0usize;
         forward.push(s);
         for &l in w.letters() {
             s = self.automaton.step(s, marked_letter(l, false));
+            steps += 1;
             forward.push(s);
         }
         // accept_from[i][q]: does the unmarked suffix w[i..) lead q to
@@ -104,6 +117,7 @@ impl PositionQuery {
             let a = marked_letter(w.letter(i), false);
             for q in 0..states {
                 let succ = self.automaton.step(q as u32, a);
+                steps += 1;
                 accept_from[i][q] = accept_from[i + 1][succ as usize];
             }
         }
@@ -112,6 +126,7 @@ impl PositionQuery {
             word: w,
             forward,
             accept_from,
+            steps,
         }
     }
 }
@@ -123,9 +138,16 @@ pub struct Preprocessed<'q, 'w> {
     word: &'w Word,
     forward: Vec<u32>,
     accept_from: Vec<Vec<bool>>,
+    steps: usize,
 }
 
 impl Preprocessed<'_, '_> {
+    /// Automaton steps the preprocessing pass took: `n` for the forward
+    /// states and `n·|Q|` for the suffix-acceptance table.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
     /// Classify a position in constant time.
     ///
     /// # Panics
@@ -275,6 +297,18 @@ mod tests {
                     "{} at {i} on {w}",
                     q.name
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn step_counts_are_linear_in_n() {
+        for n in [1usize, 7, 60] {
+            let w = Word::random(n, 2, 9);
+            for q in standard_class(2) {
+                let states = q.automaton().num_states();
+                assert_eq!(q.preprocess(&w).steps(), n * (states + 1), "{}", q.name);
+                assert_eq!(q.classify_naive_counted(&w, n - 1).1, n, "{}", q.name);
             }
         }
     }

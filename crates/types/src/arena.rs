@@ -1,11 +1,26 @@
 //! Hash-consed storage of `q`-types.
+//!
+//! The arena keeps two indexes. The node index maps every [`TypeNode`] to
+//! its id; it is the only one that assigns ids, so interning order alone
+//! fixes the numbering. The atomic index maps a rank-0 node's fixed-size
+//! key — its counting cap and [`PackedAtomic`] — to the id the node index
+//! gave it, so the rank-0 children that dominate type computation are
+//! found by hashing three words, without building (and dropping) an
+//! [`AtomicType`] and a [`TypeNode`]. A miss there builds the node and
+//! interns it through the node index, so ids come out as if the atomic
+//! index did not exist. Tuples too long or vocabularies too large to pack
+//! take the node index directly.
+//!
+//! Both indexes keep the standard library's keyed hasher: the structures
+//! typed here come from clients, and an unkeyed hash would let a client
+//! choose structures whose types collide.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use folearn_graph::Vocabulary;
+use folearn_graph::{Graph, Vocabulary, V};
 
-use crate::atomic::AtomicType;
+use crate::atomic::{AtomicType, PackedAtomic};
 
 /// Identifier of a type within a [`TypeArena`]. Two tuples have the same
 /// type (over the arena's vocabulary) iff their computed `TypeId`s are
@@ -59,6 +74,9 @@ pub struct TypeArena {
     vocab: Arc<Vocabulary>,
     nodes: Vec<TypeNode>,
     index: HashMap<TypeNode, TypeId>,
+    /// Rank-0 nodes interned through [`TypeArena::intern_atomic`], keyed by
+    /// `(cap, packed atomic type)`.
+    atomic_index: HashMap<(u32, PackedAtomic), TypeId>,
 }
 
 impl TypeArena {
@@ -68,6 +86,7 @@ impl TypeArena {
             vocab,
             nodes: Vec::new(),
             index: HashMap::new(),
+            atomic_index: HashMap::new(),
         }
     }
 
@@ -94,6 +113,32 @@ impl TypeArena {
         let id = TypeId(u32::try_from(self.nodes.len()).expect("type arena overflow"));
         self.nodes.push(node.clone());
         self.index.insert(node, id);
+        id
+    }
+
+    /// Intern the rank-0 node of `tuple` in `g` at counting cap `cap`:
+    /// the id [`TypeArena::intern`] gives that node, found without
+    /// allocating when the atomic type packs and was seen before.
+    ///
+    /// `g` must speak the arena's vocabulary, as
+    /// [`crate::compute::TypeComputer`] checks once per session.
+    pub fn intern_atomic(&mut self, g: &Graph, tuple: &[V], cap: u32) -> TypeId {
+        debug_assert!(Arc::ptr_eq(g.vocab(), &self.vocab) || g.vocab() == &self.vocab);
+        let node = || TypeNode {
+            rank: 0,
+            cap,
+            arity: tuple.len() as u16,
+            atomic: AtomicType::of(g, tuple),
+            children: Box::new([]),
+        };
+        let Some(packed) = PackedAtomic::of(g, tuple) else {
+            return self.intern(node());
+        };
+        if let Some(&id) = self.atomic_index.get(&(cap, packed)) {
+            return id;
+        }
+        let id = self.intern(node());
+        self.atomic_index.insert((cap, packed), id);
         id
     }
 

@@ -37,10 +37,7 @@ impl AtomicType {
         let k = tuple.len();
         let mut eq = Vec::with_capacity(k);
         for (i, &vi) in tuple.iter().enumerate() {
-            let first = tuple[..i]
-                .iter()
-                .position(|&vj| vj == vi)
-                .unwrap_or(i);
+            let first = tuple[..i].iter().position(|&vj| vj == vi).unwrap_or(i);
             eq.push(first as u16);
         }
         let pairs = k * k.saturating_sub(1) / 2;
@@ -88,6 +85,51 @@ impl AtomicType {
     #[inline]
     pub fn entry_has_color(&self, i: usize, c: usize, w: usize) -> bool {
         self.colors[i * w + c / 64] >> (c % 64) & 1 == 1
+    }
+}
+
+/// The atomic type of a short tuple over a small vocabulary, packed into
+/// two words: built without allocating, and equal for two tuples (over
+/// one vocabulary) iff their [`AtomicType`]s are equal.
+///
+/// `shape` holds the arity in bits 0–3, the equality pattern in bits
+/// 4–27 (three bits per entry: the smallest index of an equal entry) and
+/// the adjacency bits in bits 28–55 (pair `p(i, j)` at bit `28 + p`, as
+/// in [`AtomicType::adj`]). `colors` holds entry `i`'s colour set in byte
+/// `i`. Exists only for arity at most [`PackedAtomic::MAX_ARITY`] and at
+/// most [`PackedAtomic::MAX_COLORS`] colours.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct PackedAtomic {
+    shape: u64,
+    colors: u64,
+}
+
+impl PackedAtomic {
+    /// The largest arity that packs.
+    pub const MAX_ARITY: usize = 8;
+    /// The largest vocabulary that packs.
+    pub const MAX_COLORS: usize = 8;
+
+    /// Pack the atomic type of `tuple` in `g`, or `None` when the tuple
+    /// or the vocabulary is too large.
+    #[inline]
+    pub fn of(g: &Graph, tuple: &[V]) -> Option<Self> {
+        if tuple.len() > Self::MAX_ARITY || g.vocab().num_colors() > Self::MAX_COLORS {
+            return None;
+        }
+        let mut shape = tuple.len() as u64;
+        let mut colors = 0u64;
+        for (j, &vj) in tuple.iter().enumerate() {
+            let first = tuple[..j].iter().position(|&vi| vi == vj).unwrap_or(j);
+            shape |= (first as u64) << (4 + 3 * j);
+            for (i, &vi) in tuple[..j].iter().enumerate() {
+                if g.has_edge(vi, vj) {
+                    shape |= 1u64 << (28 + pair_index(i, j));
+                }
+            }
+            colors |= g.color_words(vj)[0] << (8 * j);
+        }
+        Some(Self { shape, colors })
     }
 }
 

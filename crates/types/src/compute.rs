@@ -9,7 +9,8 @@ use crate::atomic::AtomicType;
 
 /// A type computation session for one graph.
 ///
-/// The computer memoises `(tuple, rank) → TypeId` within the graph, and
+/// The computer memoises `(tuple, rank) → TypeId` for `rank ≥ 1` within
+/// the graph (rank 0 is one lookup in the arena's atomic index), and
 /// interns results into a shared [`TypeArena`], so types computed for
 /// different graphs (in different sessions over the same arena) remain
 /// comparable by id.
@@ -31,7 +32,10 @@ use crate::atomic::AtomicType;
 /// one child per vertex of `N_2[v̄]` and one per refinement class of the
 /// far ones. The remaining `n^{q−2}` is the finite-but-XP blow-up the
 /// paper's Section 2 normal form hides; all learner entry points confine
-/// it to bounded neighbourhoods or bounded `q`.
+/// it to bounded neighbourhoods or bounded `q`. Each interned atomic type
+/// goes through [`TypeArena::intern_atomic`]: for arity ≤ 8 over ≤ 8
+/// colours, one seen before costs a hash of three words and allocates
+/// nothing.
 pub struct TypeComputer<'g, 'a> {
     graph: &'g Graph,
     arena: &'a mut TypeArena,
@@ -74,6 +78,9 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
 
     /// Compute `tp_q(G, v̄)` (with this session's counting cap).
     pub fn type_of(&mut self, tuple: &[V], q: usize) -> TypeId {
+        if q == 0 {
+            return self.atomic_node(tuple);
+        }
         let rank = u16::try_from(q).expect("quantifier rank too large");
         let key = (tuple.to_vec(), rank);
         if let Some(&id) = self.memo.get(&key) {
@@ -89,7 +96,6 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
         ext.extend_from_slice(tuple);
         ext.push(V(0));
         let witnesses = match rank {
-            0 => Vec::new(),
             1 => self.rank_one_witnesses(tuple),
             2 => self.rank_two_witnesses(tuple),
             _ => self.graph.vertices().map(|u| (u, 1)).collect(),
@@ -122,15 +128,10 @@ impl<'g, 'a> TypeComputer<'g, 'a> {
         })
     }
 
-    /// Intern the rank-0 node of `tuple` directly, bypassing the memo.
+    /// Intern the rank-0 node of `tuple` through the arena's atomic
+    /// index, bypassing the memo.
     fn atomic_node(&mut self, tuple: &[V]) -> TypeId {
-        self.arena.intern(TypeNode {
-            rank: 0,
-            cap: self.cap,
-            arity: tuple.len() as u16,
-            atomic: AtomicType::of(self.graph, tuple),
-            children: Box::new([]),
-        })
+        self.arena.intern_atomic(self.graph, tuple, self.cap)
     }
 
     /// The one-point extensions `v̄u` that stand for all of them at rank 1,

@@ -322,3 +322,54 @@ fn local_rank_two_types_match_the_recursion_on_wide_balls() {
     assert!(collapsed > 0, "no local rank-2 query collapsed a witness");
     assert_same_arena(&kernel, &naive);
 }
+
+#[test]
+fn atomic_index_gives_the_ids_of_plain_interning() {
+    // Tuples of arity 0–9 over vocabularies of 0, 1, 8, 9 and 65 colours
+    // at caps 1–3: inside the packed bounds (arity ≤ 8, ≤ 8 colours) and
+    // outside them. Each rank-0 node goes into one arena through both
+    // `intern_atomic` and `intern`, in a random order, and into a second
+    // arena through `intern` alone; every id and every node must agree.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0006);
+    for colors in [0usize, 1, 8, 9, 65] {
+        let vocab = Vocabulary::new((0..colors).map(|i| format!("C{i}")));
+        let mut both = TypeArena::new(Arc::new(vocab.clone()));
+        let mut plain = TypeArena::new(Arc::new(vocab.clone()));
+        for round in 0..6 {
+            let n = rng.random_range(1..=8usize);
+            let g = random_graph(&mut rng, &vocab, n, [0.0, 0.3, 0.6][round % 3]);
+            for _ in 0..150 {
+                let arity = rng.random_range(0..=9usize);
+                let cap = rng.random_range(1..=3u32);
+                let tuple = random_tuple(&mut rng, &g, arity);
+                let node = TypeNode {
+                    rank: 0,
+                    cap,
+                    arity: arity as u16,
+                    atomic: AtomicType::of(&g, &tuple),
+                    children: Box::new([]),
+                };
+                let want = plain.intern(node.clone());
+                let at = || format!("{colors} colours, {g:?}, tuple {tuple:?}, cap {cap}");
+                if rng.random_bool(0.5) {
+                    assert_eq!(
+                        both.intern_atomic(&g, &tuple, cap),
+                        want,
+                        "fast first: {}",
+                        at()
+                    );
+                    assert_eq!(both.intern(node), want, "plain second: {}", at());
+                } else {
+                    assert_eq!(both.intern(node), want, "plain first: {}", at());
+                    assert_eq!(
+                        both.intern_atomic(&g, &tuple, cap),
+                        want,
+                        "fast second: {}",
+                        at()
+                    );
+                }
+            }
+        }
+        assert_same_arena(&both, &plain);
+    }
+}

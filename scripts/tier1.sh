@@ -231,11 +231,10 @@ target/release/exp_e1_hardness > "$SMOKE/e1.txt"
 grep -q 'verdict: PASS' "$SMOKE/e1.txt"
 
 # --- paper experiments gated on counts and errors (hermetic: no I/O) ------
-# Each binary exits 1 when its verdict is FAIL. These ten gate on counts,
+# Each binary exits 1 when its verdict is FAIL. These eleven gate on counts,
 # errors and bounds, not wall time; together they finish in a few seconds.
-# E15 gates on wall-time slopes and stays out of this step.
 for E in e2_covering e3_bruteforce e4_realizable e5_ndlearner e6_pac e7_vc \
-         e8_splitter e11_ablation e13_counting e14_sublinear; do
+         e8_splitter e11_ablation e13_counting e14_sublinear e15_preprocessing; do
     target/release/exp_$E > "$SMOKE/$E.txt" || {
         echo "tier1: exp_$E failed its verdict" >&2
         tail -n 5 "$SMOKE/$E.txt" >&2
