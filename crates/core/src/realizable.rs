@@ -18,7 +18,9 @@
 //! via singleton colours `S_j` so the query is a *sentence*; we bind the
 //! prefix directly in the evaluator's assignment, which is semantically
 //! identical (the colour-guarded sentence builder is exercised in tests
-//! via [`feasibility_sentence`]).
+//! via [`feasibility_sentence`]). Every query goes to the tree-walking
+//! evaluator (`folearn_logic::eval`), one candidate vertex at a time, and
+//! [`RealizableResult::mc_calls`] counts those queries.
 //!
 //! The candidate set `Φ'` is the finite normal-form family of the paper;
 //! callers pass the finite candidate family to search (see DESIGN.md §4 on
@@ -27,7 +29,6 @@
 use folearn_graph::{ops, Graph, V};
 use folearn_logic::eval::{eval, Assignment};
 use folearn_logic::transform::bind_params_with_colors;
-use folearn_logic::vm::{get_bit, iter_ones, EvalEngine, Evaluator, Program, VmGraph};
 use folearn_logic::{Formula, Var};
 
 use crate::problem::TrainingSequence;
@@ -63,26 +64,6 @@ pub fn realizable_k1(
     candidates: &[Formula],
     ell: usize,
 ) -> Option<RealizableResult> {
-    realizable_k1_with_engine(g, examples, candidates, ell, EvalEngine::TreeWalk)
-}
-
-/// [`realizable_k1`] with an explicit formula-evaluation engine.
-///
-/// Both engines run the same prefix-growth search and return the same
-/// `(formula, params)` (vertices are scanned in ascending order either
-/// way). They differ in how a prefix level is certified: the tree-walker
-/// model-checks one candidate vertex at a time (up to `n` calls per
-/// level), while the VM compiles the feasibility formula with `x_i` as
-/// the batch axis and answers *all* `n` candidate vertices in one run —
-/// so `mc_calls` counts one batched scan per level instead of per-vertex
-/// queries.
-pub fn realizable_k1_with_engine(
-    g: &Graph,
-    examples: &TrainingSequence,
-    candidates: &[Formula],
-    ell: usize,
-    engine: EvalEngine,
-) -> Option<RealizableResult> {
     assert!(
         examples.is_empty() || examples.arity() == 1,
         "Proposition 12 is the k = 1 case"
@@ -90,10 +71,6 @@ pub fn realizable_k1_with_engine(
     let marked = mark_examples(g, examples);
     let pos = marked.vocab().color_by_name(POS_COLOR).expect("just added");
     let neg = marked.vocab().color_by_name(NEG_COLOR).expect("just added");
-    let vg_marked = match engine {
-        EvalEngine::TreeWalk => None,
-        EvalEngine::Vm => Some(VmGraph::new(&marked)),
-    };
     let mut mc_calls = 0usize;
 
     for phi in candidates {
@@ -103,41 +80,19 @@ pub fn realizable_k1_with_engine(
             Formula::Color(neg, 0).implies(phi.clone().not()),
         ]);
         let all_consistent = Formula::forall(0, consistency);
-
-        let params = match &vg_marked {
-            None => prefix_search_tree(&marked, &all_consistent, ell, &mut mc_calls),
-            Some(vg) => prefix_search_vm(vg, &all_consistent, ell, &mut mc_calls),
+        let Some(params) = prefix_search(&marked, &all_consistent, ell, &mut mc_calls) else {
+            continue;
         };
-        let Some(params) = params else { continue };
 
         // Final sanity: the hypothesis really is consistent.
-        let err = match engine {
-            EvalEngine::TreeWalk => {
-                let mut scratch = Assignment::new();
-                examples.error_of(|t| {
-                    scratch.reset_to_tuple(t);
-                    for (j, &w) in params.iter().enumerate() {
-                        scratch.set((j + 1) as Var, w);
-                    }
-                    eval(g, phi, &mut scratch)
-                })
+        let mut scratch = Assignment::new();
+        let err = examples.error_of(|t| {
+            scratch.reset_to_tuple(t);
+            for (j, &w) in params.iter().enumerate() {
+                scratch.set((j + 1) as Var, w);
             }
-            EvalEngine::Vm => {
-                // One batched run classifies every vertex; examples then
-                // index into the verdict bitset.
-                let assigned: Vec<Var> = (1..=ell).map(|j| j as Var).collect();
-                let prog = Program::compile(phi, 0, &assigned);
-                let vg = VmGraph::new(g);
-                let bindings: Vec<(Var, V)> = params
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &w)| ((j + 1) as Var, w))
-                    .collect();
-                let mut ev = Evaluator::new(&prog, &vg);
-                let verdicts = ev.run(&bindings).to_vec();
-                examples.error_of(|t| get_bit(&verdicts, t[0].index()))
-            }
-        };
+            eval(g, phi, &mut scratch)
+        });
         if err == 0.0 {
             return Some(RealizableResult {
                 formula: phi.clone(),
@@ -149,9 +104,9 @@ pub fn realizable_k1_with_engine(
     None
 }
 
-/// Grow the parameter prefix with per-vertex tree-walker queries; returns
-/// the full parameter tuple or `None` on a dead end.
-fn prefix_search_tree(
+/// Grow the parameter prefix with per-vertex model-checking queries;
+/// returns the full parameter tuple or `None` on a dead end.
+fn prefix_search(
     marked: &Graph,
     all_consistent: &Formula,
     ell: usize,
@@ -185,47 +140,6 @@ fn prefix_search_tree(
         *mc_calls += 1;
         if !eval(marked, all_consistent, &mut assignment) {
             return None;
-        }
-    }
-    Some(params)
-}
-
-/// Grow the parameter prefix on the VM: each level compiles the
-/// feasibility formula with `x_i` as the batch axis, and one run yields a
-/// bitset of feasible vertices — the lowest set lane is exactly the first
-/// vertex the tree-walker's ascending scan would accept.
-fn prefix_search_vm(
-    vg: &VmGraph,
-    all_consistent: &Formula,
-    ell: usize,
-    mc_calls: &mut usize,
-) -> Option<Vec<V>> {
-    if ell == 0 {
-        *mc_calls += 1;
-        let prog = Program::compile_single(all_consistent, &[]);
-        let mut ev = Evaluator::new(&prog, vg);
-        return ev.run_bool(&[]).then(Vec::new);
-    }
-    let mut params: Vec<V> = Vec::with_capacity(ell);
-    for i in 1..=ell {
-        let mut check = all_consistent.clone();
-        for j in (i + 1)..=ell {
-            check = Formula::exists(j as Var, check);
-        }
-        let assigned: Vec<Var> = (1..i).map(|j| j as Var).collect();
-        let prog = Program::compile(&check, i as Var, &assigned);
-        let bindings: Vec<(Var, V)> = params
-            .iter()
-            .enumerate()
-            .map(|(j, &w)| ((j + 1) as Var, w))
-            .collect();
-        let mut ev = Evaluator::new(&prog, vg);
-        *mc_calls += 1;
-        let verdicts = ev.run(&bindings).to_vec();
-        let first = iter_ones(&verdicts).next();
-        match first {
-            Some(lane) => params.push(V(lane as u32)),
-            None => return None,
         }
     }
     Some(params)
@@ -389,70 +303,6 @@ mod tests {
             let sentence = feasibility_sentence(&phi, 1, 1, &[s1], pos, neg);
             assert_eq!(models(&with_s, &sentence), direct, "w={w}");
         }
-    }
-
-    #[test]
-    fn vm_engine_matches_tree_walker() {
-        // Same search on both engines: identical winning formula and
-        // parameters, because the VM's lowest set lane is the first
-        // vertex the tree-walker's ascending scan accepts.
-        let g = generators::path(8, Vocabulary::empty());
-        let (w1, w2) = (V(2), V(6));
-        let examples =
-            TrainingSequence::label_all_tuples(&g, 1, |t| t[0] == w1 || t[0] == w2);
-        let vocab = g.vocab().as_ref().clone();
-        let candidates = vec![
-            parse("E(x0, x1) & E(x0, x2)", &vocab).unwrap(),
-            parse("x0 = x1 | x0 = x2", &vocab).unwrap(),
-        ];
-        let tree = realizable_k1_with_engine(
-            &g, &examples, &candidates, 2, EvalEngine::TreeWalk,
-        )
-        .expect("realisable");
-        let vm = realizable_k1_with_engine(
-            &g, &examples, &candidates, 2, EvalEngine::Vm,
-        )
-        .expect("realisable");
-        assert_eq!(tree.formula, vm.formula);
-        assert_eq!(tree.params, vm.params);
-        // One batched scan per prefix level instead of per-vertex calls.
-        assert!(vm.mc_calls <= candidates.len() * 2, "{}", vm.mc_calls);
-        assert!(vm.mc_calls < tree.mc_calls);
-    }
-
-    #[test]
-    fn vm_engine_matches_tree_walker_at_ell_zero() {
-        let g = red_path(8, 3);
-        let vocab = g.vocab().as_ref().clone();
-        let examples = TrainingSequence::label_all_tuples(&g, 1, |t| {
-            g.has_color(t[0], ColorId(0))
-        });
-        let candidates = vec![
-            parse("true", &vocab).unwrap(),
-            parse("Red(x0)", &vocab).unwrap(),
-        ];
-        let tree = realizable_k1_with_engine(
-            &g, &examples, &candidates, 0, EvalEngine::TreeWalk,
-        )
-        .expect("realisable");
-        let vm =
-            realizable_k1_with_engine(&g, &examples, &candidates, 0, EvalEngine::Vm)
-                .expect("realisable");
-        assert_eq!(tree.formula, vm.formula);
-        assert_eq!(vm.params, Vec::<V>::new());
-        // Unrealisable stays unrealisable on the VM too.
-        let bad = TrainingSequence::from_pairs([
-            (vec![V(0)], true),
-            (vec![V(0)], false),
-        ]);
-        assert!(realizable_k1_with_engine(
-            &g,
-            &bad,
-            &candidates,
-            0,
-            EvalEngine::Vm
-        )
-        .is_none());
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! | nothing (small graph)                | `Solver::BruteForce`      |
 //! | a nowhere dense class (e.g. forest)  | `Solver::NowhereDense`    |
 //! | bounded degree + few examples        | `Solver::LocalAccess`     |
+//!
+//! Learning has one evaluation path. The learners tally *types*, which
+//! no formula-evaluation backend changes, so no solver takes an
+//! [`EvalEngine`]; the bytecode VM serves model checking. That the VM
+//! reproduces every solver's reported error bit-for-bit is the proptest
+//! `tests/vm_cross_check.rs`.
 
-use folearn_logic::vm::{self, EvalEngine};
-use folearn_logic::Var;
+use folearn_logic::vm::EvalEngine;
 use folearn_obs::Json;
 
 use crate::bruteforce::{brute_force_erm_with, BruteForceOpts};
@@ -102,37 +107,9 @@ pub fn solve_fo_erm(
     solver: &Solver,
     arena: &SharedArena,
 ) -> SolveReport {
-    solve_fo_erm_with_engine(inst, solver, arena, EvalEngine::TreeWalk)
-}
-
-/// [`solve_fo_erm`] with an explicit formula-evaluation engine.
-///
-/// The learners' parameter sweeps tally *types*, which are backend-
-/// independent, so the engine does not change what is learned. What it
-/// selects is the formula-evaluation backend used around the solve: with
-/// [`EvalEngine::Vm`] the winning hypothesis is cross-validated — its
-/// materialised formula ([`Hypothesis::to_formula`]) is compiled once and
-/// batch-evaluated on the bytecode VM over every training example, and
-/// the recomputed error must be bit-identical to the solver's. The
-/// validation runs inside the `solve` span, so its `vm_*` work counters
-/// surface in traces and the server's `stats` aggregate.
-///
-/// # Panics
-/// Panics if the VM cross-validation diverges from the solver's reported
-/// error — a committed engine-mismatch is a broken build, not a result.
-pub fn solve_fo_erm_with_engine(
-    inst: &ErmInstance<'_>,
-    solver: &Solver,
-    arena: &SharedArena,
-    engine: EvalEngine,
-) -> SolveReport {
     let sp = folearn_obs::span("solve");
     let report = solve_dispatch(inst, solver, arena);
-    if engine == EvalEngine::Vm {
-        vm_cross_validate(inst, &report);
-    }
     folearn_obs::meta("solver", Json::str(report.solver_name));
-    folearn_obs::meta("engine", Json::str(engine.name()));
     folearn_obs::meta("ell", Json::int(inst.ell));
     folearn_obs::meta("q", Json::int(inst.q));
     folearn_obs::meta("examples", Json::int(inst.examples.len()));
@@ -140,62 +117,15 @@ pub fn solve_fo_erm_with_engine(
     report
 }
 
-/// Recompute the report's training error on the bytecode VM and assert
-/// bit-identity. `k = 1` instances use one batched run (one lane per
-/// vertex); higher arities bind each tuple through the environment.
-fn vm_cross_validate(inst: &ErmInstance<'_>, report: &SolveReport) {
-    // The materialised formula is over x0 … x{k−1} (the example tuple)
-    // followed by the hypothesis's parameter variables x{k} … x{k+ℓ−1}.
-    let phi = report.hypothesis.to_formula();
-    let params = report.hypothesis.params();
-    let vg = vm::VmGraph::new(inst.graph);
-    let k = inst.k;
-    let param_bindings = |base: usize| -> Vec<(Var, folearn_graph::V)> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(j, &w)| ((base + j) as Var, w))
-            .collect()
-    };
-    let wrong = if k == 1 {
-        let assigned: Vec<Var> = (1..=params.len()).map(|j| j as Var).collect();
-        let prog = vm::Program::compile(&phi, 0, &assigned);
-        let mut ev = vm::Evaluator::new(&prog, &vg);
-        let verdicts = ev.run(&param_bindings(1)).to_vec();
-        inst.examples
-            .iter()
-            .filter(|e| vm::get_bit(&verdicts, e.tuple[0].index()) != e.label)
-            .count()
-    } else {
-        let assigned: Vec<Var> = (0..k + params.len()).map(|j| j as Var).collect();
-        let prog = vm::Program::compile_single(&phi, &assigned);
-        let mut ev = vm::Evaluator::new(&prog, &vg);
-        inst.examples
-            .iter()
-            .filter(|e| {
-                let mut bindings: Vec<(Var, folearn_graph::V)> = e
-                    .tuple
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (i as Var, v))
-                    .collect();
-                bindings.extend(param_bindings(k));
-                ev.run_bool(&bindings) != e.label
-            })
-            .count()
-    };
-    let vm_error = if inst.examples.is_empty() {
-        0.0
-    } else {
-        wrong as f64 / inst.examples.len() as f64
-    };
-    assert_eq!(
-        vm_error.to_bits(),
-        report.error.to_bits(),
-        "VM cross-validation diverged: vm error {} vs solver error {}",
-        vm_error,
-        report.error
-    );
+/// [`solve_fo_erm`]; the engine is ignored. Kept for callers written
+/// when the engine still selected a backend around the solve.
+pub fn solve_fo_erm_with_engine(
+    inst: &ErmInstance<'_>,
+    solver: &Solver,
+    arena: &SharedArena,
+    _engine: EvalEngine,
+) -> SolveReport {
+    solve_fo_erm(inst, solver, arena)
 }
 
 fn solve_dispatch(
@@ -292,63 +222,6 @@ mod tests {
             );
             assert!(report.work >= 1);
         }
-    }
-
-    #[test]
-    fn vm_engine_cross_validates_every_solver() {
-        // The test is the internal bit-identity assertion: with the VM
-        // engine, solve_fo_erm_with_engine recomputes the winning
-        // hypothesis's error on the bytecode VM and panics on divergence.
-        let g = generators::random_tree(24, Vocabulary::empty(), 7);
-        let w = V(12);
-        let target = |t: &[V]| t[0] == w || g.has_edge(t[0], w);
-        let examples = TrainingSequence::label_all_tuples(&g, 1, target);
-        let inst = ErmInstance::new(&g, examples, 1, 1, 1, 0.2);
-        let arena = shared_arena(&g);
-        let solvers = [
-            Solver::BruteForce {
-                mode: TypeMode::Global,
-                opts: BruteForceOpts::default(),
-            },
-            Solver::NowhereDense(NdConfig {
-                class: folearn_graph::splitter::GraphClass::Forest,
-                search: SearchMode::Exhaustive,
-                final_rule: FinalRule::LocalAuto,
-                locality_radius: Some(1),
-                max_rounds: Some(3),
-                max_branches: 150,
-            }),
-            Solver::LocalAccess {
-                param_radius: 2,
-                type_radius: 1,
-            },
-        ];
-        for solver in &solvers {
-            let tree = solve_fo_erm_with_engine(&inst, solver, &arena, EvalEngine::TreeWalk);
-            let vm = solve_fo_erm_with_engine(&inst, solver, &arena, EvalEngine::Vm);
-            assert_eq!(tree.error.to_bits(), vm.error.to_bits(), "{}", vm.solver_name);
-        }
-    }
-
-    #[test]
-    fn vm_engine_cross_validates_pair_instances() {
-        // k = 2 exercises the compile_single (per-tuple environment) path
-        // of the cross-validation.
-        let g = generators::path(8, Vocabulary::empty());
-        let examples =
-            TrainingSequence::label_all_tuples(&g, 2, |t| g.has_edge(t[0], t[1]));
-        let inst = ErmInstance::new(&g, examples, 2, 0, 1, 0.0);
-        let arena = shared_arena(&g);
-        let report = solve_fo_erm_with_engine(
-            &inst,
-            &Solver::BruteForce {
-                mode: TypeMode::Global,
-                opts: BruteForceOpts::default(),
-            },
-            &arena,
-            EvalEngine::Vm,
-        );
-        assert_eq!(report.error, 0.0);
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub fn hypothesis_id(
 /// The identity of a solve, `(structure hash, sample hash, solver
 /// config hash)`: the key of the result cache. The sample hash covers
 /// the examples and `(ℓ, q, ε)`; the config hash is that of the
-/// solver's canonical wire form.
+/// solver's canonical wire form with the ignored `engine` field set to
+/// `tree`, so a `vm` solve shares the `tree` solve's id and cache entry.
 pub(crate) fn solve_key(
     structure: u64,
     examples: &[WireExample],
@@ -71,7 +72,11 @@ pub(crate) fn solve_key(
     bytes.extend_from_slice(&(ell as u64).to_le_bytes());
     bytes.extend_from_slice(&(q as u64).to_le_bytes());
     bytes.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-    let config = fnv1a64(solver.to_json().render().as_bytes());
+    let mut canonical = solver.clone();
+    if let SolverSpec::Brute { engine, .. } = &mut canonical {
+        *engine = EvalEngine::TreeWalk;
+    }
+    let config = fnv1a64(canonical.to_json().render().as_bytes());
     (structure, fnv1a64(&bytes), config)
 }
 
@@ -139,7 +144,7 @@ pub struct WireExample {
 /// Which solver a `solve` request runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolverSpec {
-    /// Brute-force ERM (Proposition 11) with engine knobs.
+    /// Brute-force ERM (Proposition 11) with sweep knobs.
     Brute {
         /// Type notion (`TypeMode` string form: `global`, `local=R`, …).
         mode: TypeMode,
@@ -147,9 +152,10 @@ pub enum SolverSpec {
         threads: Option<usize>,
         /// Shared-bound pruning.
         prune: bool,
-        /// Formula-evaluation backend (`tree` or `vm`). Part of the
-        /// canonical form, so it enters the solve-cache key: a `vm`
-        /// solve is never answered from a `tree` cache entry.
+        /// Formula-evaluation backend (`tree` or `vm`). Decoded and
+        /// validated for wire compatibility, but no solver reads it: the
+        /// sweep tallies types, which no evaluation backend changes, and
+        /// [`solve_key`] hashes the spec as if it were `tree`.
         engine: EvalEngine,
     },
     /// The nowhere-dense learner (Theorem 13) with its default config.
@@ -1285,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_field_defaults_to_tree_and_splits_cache_keys() {
+    fn engine_field_is_decoded_but_not_part_of_the_solve_id() {
         // Messages from older clients omit `engine`.
         let legacy = r#"{"op": "modelcheck", "structure": "000000000000002a", "formula": "t"}"#;
         match Request::decode(legacy).unwrap() {
@@ -1303,16 +1309,27 @@ mod tests {
                 .unwrap()
         )
         .is_err());
-        // The canonical form — hence the solve-cache key — distinguishes
-        // the engines.
+        // A solve's id ignores the engine, and a `tree` solve keeps the
+        // id it had when the engine still split ids and cache keys.
+        let examples = [
+            WireExample {
+                tuple: vec![0],
+                label: true,
+            },
+            WireExample {
+                tuple: vec![3],
+                label: false,
+            },
+        ];
+        let id = |solver: &SolverSpec| {
+            hypothesis_id(0xabcd_ef01_2345_6789, &examples, 1, 1, 0.0, solver)
+        };
         let mut vm = SolverSpec::default_brute();
         if let SolverSpec::Brute { engine, .. } = &mut vm {
             *engine = EvalEngine::Vm;
         }
-        assert_ne!(
-            fnv1a64(SolverSpec::default_brute().to_json().render().as_bytes()),
-            fnv1a64(vm.to_json().render().as_bytes()),
-        );
+        assert_eq!(id(&SolverSpec::default_brute()), 0x09ae_949c_e551_c803);
+        assert_eq!(id(&vm), id(&SolverSpec::default_brute()));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use folearn::bruteforce::BruteForceOpts;
 use folearn::ndlearner::NdConfig;
 use folearn::problem::{ErmInstance, TrainingSequence};
-use folearn::{solve_fo_erm_with_engine, Hypothesis, SharedArena, Solver};
+use folearn::{solve_fo_erm, Hypothesis, SharedArena, Solver};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::parser;
 use folearn_logic::vm::EvalEngine;
@@ -763,7 +763,6 @@ struct SolveJob {
     q: usize,
     epsilon: f64,
     rust_solver: Solver,
-    engine: EvalEngine,
     structure: u64,
     /// [`solve_key`] of the request; its digest is the hypothesis id.
     cache_key: (u64, u64, u64),
@@ -843,27 +842,21 @@ fn plan_solve(
     // the in-flight table, where a coalesced duplicate still counts as
     // a hit.
 
-    let (rust_solver, engine) = match solver {
+    let rust_solver = match solver {
         SolverSpec::Brute {
             mode,
             threads,
             prune,
-            engine,
-        } => (
-            Solver::BruteForce {
-                mode: *mode,
-                opts: BruteForceOpts {
-                    threads: *threads,
-                    prune: *prune,
-                    block_size: None,
-                },
+            ..
+        } => Solver::BruteForce {
+            mode: *mode,
+            opts: BruteForceOpts {
+                threads: *threads,
+                prune: *prune,
+                block_size: None,
             },
-            *engine,
-        ),
-        SolverSpec::Nd => (
-            Solver::NowhereDense(NdConfig::default()),
-            EvalEngine::TreeWalk,
-        ),
+        },
+        SolverSpec::Nd => Solver::NowhereDense(NdConfig::default()),
     };
     let seq = TrainingSequence::from_pairs(
         examples
@@ -880,7 +873,6 @@ fn plan_solve(
         q,
         epsilon,
         rust_solver,
-        engine,
         structure,
         cache_key,
         trace_ctx,
@@ -903,7 +895,7 @@ fn run_solve(state: &Arc<State>, job: SolveJob) -> Response {
         folearn_obs::meta("parent", Json::str(hex64(ctx.parent)));
     }
     let inst = ErmInstance::new(&job.g, job.seq, job.k, job.ell, job.q, job.epsilon);
-    let report = solve_fo_erm_with_engine(&inst, &job.rust_solver, &job.arena, job.engine);
+    let report = solve_fo_erm(&inst, &job.rust_solver, &job.arena);
     let id = key_id(job.cache_key);
     let h = &report.hypothesis;
     // Canonical keys make the hypothesis recognisable across

@@ -193,8 +193,8 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
         .modelcheck(structure, "forall x0. Red(x0)")
         .expect("modelcheck unsat"));
 
-    // The VM engine is part of the cache key, answers identically, and
-    // its work counters surface in the stats snapshot below.
+    // A solve's engine field is accepted and ignored: the vm solve is
+    // the tree solve, answered from its cache entry under its id.
     let mut vm_spec = SolverSpec::default_brute();
     if let SolverSpec::Brute { engine, .. } = &mut vm_spec {
         *engine = EvalEngine::Vm;
@@ -202,9 +202,11 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
     let vm_solve = client
         .solve(structure, sample(), 1, 1, 0.0, vm_spec)
         .expect("vm solve");
-    assert!(!vm_solve.cached, "engine selection is a distinct cache key");
+    assert!(vm_solve.cached, "the engine is not part of the cache key");
+    assert_eq!(vm_solve.hypothesis.id, cold.hypothesis.id);
     assert_eq!(vm_solve.error, cold.error);
-    assert_eq!(vm_solve.hypothesis.types, cold.hypothesis.types);
+    // The engine selects how modelcheck evaluates; its VM work counters
+    // surface in the stats snapshot below.
     assert!(client
         .modelcheck_with_engine(structure, "exists x0. Red(x0)", EvalEngine::Vm)
         .expect("vm modelcheck"));
@@ -244,17 +246,7 @@ fn full_session_register_solve_cache_evaluate_modelcheck() {
             > 0.0,
         "sweep work counters aggregate into the snapshot"
     );
-    // VM cross-validation and VM model checks flush vm_* counters into
-    // their enclosing spans.
-    assert!(
-        spans
-            .get("solve")
-            .and_then(|s| s.get("vm_instructions"))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0)
-            > 0.0,
-        "VM counters aggregate under the solve span: {spans:?}"
-    );
+    // VM model checks flush vm_* counters into their enclosing span.
     assert!(
         spans
             .get("server.modelcheck")

@@ -138,7 +138,9 @@ fn encode_burst(items: &[Item], structure: u64) -> Vec<String> {
 }
 
 /// Start a daemon, register the graph, and warm every (sample, engine)
-/// solve the burst can repeat. Returns the handle and structure hash.
+/// solve the burst can repeat. A solve's engine is not part of its
+/// cache key, so each sample's `vm` warm hits its `tree` warm's entry.
+/// Returns the handle and structure hash.
 fn prepared_daemon() -> (ServerHandle, u64) {
     let handle = start(&ServerConfig {
         workers: 1,
@@ -150,9 +152,10 @@ fn prepared_daemon() -> (ServerHandle, u64) {
     let structure = client.register(GRAPH).expect("register");
     for sample in sample_pool() {
         for vm in [false, true] {
-            client
+            let warm = client
                 .solve(structure, sample.clone(), 1, 1, 0.0, brute(engine_of(vm)))
                 .expect("warm solve");
+            assert!(warm.cached || !vm, "the engine does not split the cache");
         }
     }
     (handle, structure)

@@ -153,28 +153,6 @@ pub fn satisfies_via_types(
     type_satisfies(arena, tid, phi)
 }
 
-/// [`satisfies_via_types`] with an explicit direct-evaluation engine for
-/// the cross-check: in debug builds the type-based verdict is asserted
-/// against the selected backend's direct evaluation of the same query,
-/// so either the tree-walker or the bytecode VM can serve as the second
-/// opinion. Release builds skip the re-evaluation entirely.
-pub fn satisfies_via_types_with_engine(
-    g: &folearn_graph::Graph,
-    arena: &mut TypeArena,
-    phi: &Formula,
-    tuple: &[V],
-    engine: folearn_logic::vm::EvalEngine,
-) -> bool {
-    let typed = satisfies_via_types(g, arena, phi, tuple);
-    debug_assert_eq!(
-        typed,
-        engine.satisfies(g, phi, tuple),
-        "type-based and {} verdicts diverge on {phi}",
-        engine.name()
-    );
-    typed
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -264,26 +242,6 @@ mod tests {
                 eval::satisfies(&g, &phi, &[v]),
                 "at {v}"
             );
-        }
-    }
-
-    #[test]
-    fn engine_cross_check_accepts_both_backends() {
-        let g = colored_path();
-        let vocab = g.vocab().as_ref().clone();
-        let mut arena = TypeArena::new(Arc::clone(g.vocab()));
-        let phi = parse("exists x1. E(x0, x1) & Red(x1)", &vocab).unwrap();
-        for engine in [
-            folearn_logic::vm::EvalEngine::TreeWalk,
-            folearn_logic::vm::EvalEngine::Vm,
-        ] {
-            for v in g.vertices() {
-                assert_eq!(
-                    satisfies_via_types_with_engine(&g, &mut arena, &phi, &[v], engine),
-                    eval::satisfies(&g, &phi, &[v]),
-                    "at {v} with {engine}"
-                );
-            }
         }
     }
 

@@ -243,14 +243,9 @@ for E in e2_covering e3_bruteforce e4_realizable e5_ndlearner e6_pac e7_vc \
 done
 
 # --- VM engine smoke test (hermetic: local files only) --------------------
-# The compiled bytecode engine must agree with the tree walker on a real
-# learn and a model check, straight through the CLI flag. One sweep thread:
-# with more, the report's evaluated/pruned tallies depend on scheduling.
-"$FOLEARN" learn --graph "$SMOKE/graph.txt" --examples "$SMOKE/sample.txt" \
-    --ell 1 --q 1 --threads 1 --engine tree > "$SMOKE/learn_tree.txt"
-"$FOLEARN" learn --graph "$SMOKE/graph.txt" --examples "$SMOKE/sample.txt" \
-    --ell 1 --q 1 --threads 1 --engine vm > "$SMOKE/learn_vm.txt"
-diff "$SMOKE/learn_tree.txt" "$SMOKE/learn_vm.txt"
+# The compiled bytecode engine must agree with the tree walker on a model
+# check, straight through the CLI flag. Learning has no engine: that the VM
+# reproduces every solver's error is crates/core/tests/vm_cross_check.rs.
 TREE_MC=$("$FOLEARN" modelcheck --graph "$SMOKE/graph.txt" \
     --formula 'exists x0. Red(x0) & exists x1. E(x0, x1) & !Red(x1)' --engine tree)
 VM_MC=$("$FOLEARN" modelcheck --graph "$SMOKE/graph.txt" \

@@ -13,7 +13,6 @@ USAGE:
                      [--solver brute|nd|local]
                      [--mode global|local=R|counting=CAP|local-counting=R,CAP]
                      [--threads N (0 = one per core, max 256)] [--prune on|off]
-                     [--engine tree|vm]
   folearn modelcheck --graph G.txt --formula \"<sentence>\" [--engine tree|vm]
   folearn splitter   --graph G.txt [--radius R]
   folearn types      --graph G.txt [--q N] [--k N]
@@ -35,7 +34,7 @@ USAGE:
                            | solve --graph G.txt --examples E.txt
                                    [--ell N] [--q N] [--solver brute|nd]
                                    [--mode ...] [--threads N] [--prune on|off]
-                                   [--engine tree|vm] [--trace-out T.jsonl]
+                                   [--trace-out T.jsonl]
                            | evaluate --graph G.txt --examples E.txt --hypothesis HEX
                            | modelcheck --graph G.txt --formula \"<sentence>\"
                                         [--engine tree|vm]
@@ -84,12 +83,12 @@ mod tests {
 
     #[test]
     fn help_lists_the_engine_flag_everywhere_it_is_parsed() {
-        // `--engine` is read by learn, modelcheck, and the client's solve
-        // and modelcheck actions (see `cli::parse_engine`); the usage
-        // text must keep advertising it for each.
+        // `--engine` is read by modelcheck and the client's modelcheck
+        // action (see `cli::parse_engine`); the usage text must keep
+        // advertising it for each, and for nothing else.
         assert_eq!(
             HELP.matches("[--engine tree|vm]").count(),
-            4,
+            2,
             "usage text drifted from the CLI's --engine surface"
         );
         for backend in ["tree", "vm"] {

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use folearn::bruteforce::BruteForceOpts;
 use folearn::ndlearner::NdConfig;
 use folearn::problem::{ErmInstance, Example, TrainingSequence};
-use folearn::{shared_arena, solve_fo_erm_with_engine, Solver, TypeMode};
+use folearn::{shared_arena, solve_fo_erm, Solver, TypeMode};
 use folearn_graph::splitter::{play_game, GraphClass, MaxBallConnector};
 use folearn_graph::{io, Graph, V};
 use folearn_logic::vm::EvalEngine;
@@ -246,10 +246,9 @@ fn cmd_learn(opts: &Options) -> Result<String, CliError> {
         // holds exactly this run.
         let _ = folearn_obs::take_thread_roots();
     }
-    let engine = parse_engine(opts)?;
     let inst = ErmInstance::new(&g, examples, k, ell, q, 0.1);
     let arena = shared_arena(&g);
-    let report = solve_fo_erm_with_engine(&inst, &solver, &arena, engine);
+    let report = solve_fo_erm(&inst, &solver, &arena);
     let roots = if tracing {
         folearn_obs::take_thread_roots()
     } else {
@@ -484,15 +483,14 @@ fn parse_engine(opts: &Options) -> Result<EvalEngine, CliError> {
         .map_err(|e: String| err(format!("--engine: {e}")))
 }
 
-/// Build the wire solver spec from
-/// `--solver/--mode/--threads/--prune/--engine`.
+/// Build the wire solver spec from `--solver/--mode/--threads/--prune`.
 fn parse_solver_spec(opts: &Options) -> Result<SolverSpec, CliError> {
     match opts.get("solver").unwrap_or("brute") {
         "brute" => Ok(SolverSpec::Brute {
             mode: parse_mode(opts.get("mode").unwrap_or("global"))?,
             threads: parse_threads(opts)?,
             prune: parse_on_off(opts.get("prune").unwrap_or("on"), "prune")?,
-            engine: parse_engine(opts)?,
+            engine: EvalEngine::TreeWalk,
         }),
         "nd" => Ok(SolverSpec::Nd),
         other => Err(err(format!(
@@ -1072,14 +1070,6 @@ mod tests {
         assert!(out.contains("\"pruned_params\": 0"), "{out}");
         assert!(run("learn", &base(&["--prune", "maybe"])).is_err());
         assert!(run("learn", &base(&["--threads", "two"])).is_err());
-        // The VM engine reproduces the tree-walker's report exactly (the
-        // cross-validation inside the solve would panic otherwise). One
-        // sweep thread: with more, the evaluated/pruned tallies depend
-        // on scheduling, whatever the engine.
-        let tree = run("learn", &base(&["--engine", "tree", "--threads", "1"])).unwrap();
-        let vm = run("learn", &base(&["--engine", "vm", "--threads", "1"])).unwrap();
-        assert_eq!(tree, vm);
-        assert!(run("learn", &base(&["--engine", "warp"])).is_err());
     }
 
     #[test]
